@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   if (flags.query_threads > 0) thread_sweep = {1, flags.query_threads};
 
   const std::string json_path = ParseJsonPath(argc, argv);
-  JsonReport report("bench_batched_queries");
+  JsonReport report("bench_batched_queries", ParseRev(argc, argv));
 
   std::printf("%8s %7s %12s %14s %10s\n", "threads", "cache", "queries/s",
               "leaf IO/query", "hit rate");

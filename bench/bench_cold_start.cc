@@ -161,7 +161,7 @@ int Run(int argc, char** argv) {
       << "workload did not exceed the pool (not a cold-start measurement)";
 
   if (!json_path.empty()) {
-    JsonReport report("bench_cold_start");
+    JsonReport report("bench_cold_start", ParseRev(argc, argv));
     report.BeginRecord();
     report.Add("objects", static_cast<int64_t>(data.count));
     report.Add("queries", static_cast<int64_t>(batch.size()));

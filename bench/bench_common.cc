@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 #include "common/timer.h"
+#include "geom/batch/kernels.h"
 
 namespace uvd {
 namespace bench {
@@ -70,16 +72,18 @@ void PrintBanner(const std::string& title, const std::string& paper_ref) {
   std::printf("==============================================================\n");
 }
 
-std::string ParseJsonPath(int argc, char** argv) {
+namespace {
+
+/// Value of `flag <v>` or `flag=<v>`; the empty string when absent.
+std::string FlagValue(int argc, char** argv, const std::string& flag) {
+  const std::string prefix = flag + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.compare(0, 7, "--json=") == 0) return arg.substr(7);
-    if (arg == "--json" && i + 1 < argc) return argv[i + 1];
+    if (arg.compare(0, prefix.size(), prefix) == 0) return arg.substr(prefix.size());
+    if (arg == flag && i + 1 < argc) return argv[i + 1];
   }
   return "";
 }
-
-namespace {
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -93,8 +97,12 @@ std::string JsonEscape(const std::string& s) {
 
 }  // namespace
 
-JsonReport::JsonReport(std::string bench_name)
-    : bench_name_(std::move(bench_name)) {}
+std::string ParseJsonPath(int argc, char** argv) { return FlagValue(argc, argv, "--json"); }
+
+std::string ParseRev(int argc, char** argv) { return FlagValue(argc, argv, "--rev"); }
+
+JsonReport::JsonReport(std::string bench_name, std::string rev)
+    : bench_name_(std::move(bench_name)), rev_(std::move(rev)) {}
 
 void JsonReport::BeginRecord() { records_.emplace_back(); }
 
@@ -123,8 +131,17 @@ bool JsonReport::WriteTo(const std::string& path) const {
     std::fprintf(stderr, "warning: cannot write JSON report to %s\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"scale\": %.6g,\n  \"records\": [",
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"scale\": %.6g,\n",
                JsonEscape(bench_name_).c_str(), Scale());
+  // UVD_BENCH_COMPILER and UVD_BENCH_BUILD_TYPE come from CMake.
+  std::fprintf(f,
+               "  \"nproc\": %u,\n  \"compiler\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n  \"simd\": \"%s\",\n",
+               std::thread::hardware_concurrency(), JsonEscape(UVD_BENCH_COMPILER).c_str(),
+               JsonEscape(UVD_BENCH_BUILD_TYPE).c_str(),
+               geom::batch::SimdEnabled() ? geom::batch::SimdIsa() : "none");
+  if (!rev_.empty()) std::fprintf(f, "  \"rev\": \"%s\",\n", JsonEscape(rev_).c_str());
+  std::fprintf(f, "  \"records\": [");
   for (size_t r = 0; r < records_.size(); ++r) {
     std::fprintf(f, "%s\n    {", r == 0 ? "" : ",");
     for (size_t k = 0; k < records_[r].size(); ++k) {

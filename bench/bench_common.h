@@ -66,13 +66,22 @@ void PrintBanner(const std::string& title, const std::string& paper_ref);
 /// empty string when the flag is absent.
 std::string ParseJsonPath(int argc, char** argv);
 
+/// Parses a `--rev <sha>` / `--rev=<sha>` argument: the source revision a
+/// JSON report is stamped with. Returns the empty string when absent.
+std::string ParseRev(int argc, char** argv);
+
 /// Accumulates flat records and writes them as a JSON document:
-///   {"bench": "...", "scale": S, "records": [{...}, ...]}
-/// Values are numbers or strings; no nesting — bench history files are
-/// meant to be diffed and plotted, not parsed by the library.
+///   {"bench": "...", "scale": S, "nproc": N, "compiler": "GNU 12.2.0",
+///    "build_type": "Release", "simd": "avx2", "rev": "...",
+///    "records": [{...}, ...]}
+/// The header stamps the machine and build the numbers came from; "simd"
+/// is the batch-kernel ISA ("none" when UVD_ENABLE_SIMD is off) and "rev"
+/// appears only when given. Values are numbers or strings; no nesting —
+/// bench history files are meant to be diffed and plotted, not parsed by
+/// the library.
 class JsonReport {
  public:
-  explicit JsonReport(std::string bench_name);
+  explicit JsonReport(std::string bench_name, std::string rev = "");
 
   /// Starts a new record; subsequent Add calls fill it.
   void BeginRecord();
@@ -89,6 +98,7 @@ class JsonReport {
 
  private:
   std::string bench_name_;
+  std::string rev_;
   // Each record is a list of (key, pre-rendered JSON value) pairs.
   std::vector<std::vector<std::pair<std::string, std::string>>> records_;
 };

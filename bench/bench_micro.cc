@@ -61,16 +61,21 @@ void BM_LensArea(benchmark::State& state) {
 }
 BENCHMARK(BM_LensArea);
 
+// Sweeps d across the support in 400 steps. Arg 0: query outside the
+// region; arg 1: query inside it, 10 from the center, so the inner rings
+// are fully covered and the partial rings reach the boundary.
 void BM_DistanceCdf(benchmark::State& state) {
   const auto obj = uncertain::UncertainObject::WithGaussianPdf(0, {{100, 0}, 20});
-  const uncertain::DistanceDistribution dist(obj, {0, 0});
-  double d = 80;
+  const geom::Point q = state.range(0) == 0 ? geom::Point{0, 0} : geom::Point{90, 0};
+  const uncertain::DistanceDistribution dist(obj, q);
+  const double step = (dist.upper() - dist.lower()) / 400;
+  double d = dist.lower();
   for (auto _ : state) {
-    d = 80 + (d > 120 ? -40 : 0.1);
+    d = d + step > dist.upper() ? dist.lower() : d + step;
     benchmark::DoNotOptimize(dist.Cdf(d));
   }
 }
-BENCHMARK(BM_DistanceCdf);
+BENCHMARK(BM_DistanceCdf)->ArgName("inside")->Arg(0)->Arg(1);
 
 void BM_Qualification(benchmark::State& state) {
   const int candidates = static_cast<int>(state.range(0));
@@ -87,7 +92,9 @@ void BM_Qualification(benchmark::State& state) {
         uncertain::ComputeQualificationProbabilities(refs, {0, 0}));
   }
 }
-BENCHMARK(BM_Qualification)->Arg(2)->Arg(8)->Arg(32);
+// Arg(5) is the operating point of the end-to-end PNN workloads, which
+// average about 4.6 answer objects per query.
+BENCHMARK(BM_Qualification)->Arg(2)->Arg(5)->Arg(8)->Arg(32);
 
 void BM_PageReadWrite(benchmark::State& state) {
   storage::PageManager pm(4096);

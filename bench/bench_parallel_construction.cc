@@ -193,7 +193,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string json_path = bench::ParseJsonPath(argc, argv);
-  bench::JsonReport report("parallel_construction_stage1_sweep");
+  bench::JsonReport report("parallel_construction_stage1_sweep",
+                            bench::ParseRev(argc, argv));
 
   bench::PrintBanner("Parallel construction: T_c vs threads, kernel, traversal",
                      "staged pipeline over the Fig. 7(a) workload");

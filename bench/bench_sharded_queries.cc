@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       query::DigestPointAnswers(baseline_engine.ExecuteBatch(batch));
 
   const std::string json_path = ParseJsonPath(argc, argv);
-  JsonReport report("bench_sharded_queries");
+  JsonReport report("bench_sharded_queries", ParseRev(argc, argv));
   if (!json_path.empty()) {
     // Unsharded QueryEngine latency record, measured under the same
     // simulated disk latency the sharded sweep runs with.

@@ -10,7 +10,6 @@ namespace uncertain {
 
 DistanceDistribution::DistanceDistribution(const UncertainObject& obj, geom::Point q)
     : obj_(obj),
-      q_(q),
       center_dist_(geom::Distance(obj.center(), q)),
       lower_(obj.DistMin(q)),
       upper_(obj.DistMax(q)) {}
@@ -22,6 +21,11 @@ double DistanceDistribution::Cdf(double d) const {
   if (obj_.radius() <= 0.0) {
     return d >= center_dist_ ? 1.0 : 0.0;
   }
+  // Ring b's part of Cir(q, d) is lens(boundary b+1) - lens(boundary b).
+  // RingOuter(b) and RingInner(b+1) are the same expression, hence the same
+  // bits, so a ring's outer lens is reused as the next ring's inner lens.
+  int lens_boundary = -1;  // boundary index whose lens is in `lens`
+  double lens = 0.0;
   double acc = 0.0;
   for (int b = 0; b < pdf.num_bars(); ++b) {
     const double mass = pdf.bars()[static_cast<size_t>(b)];
@@ -42,9 +46,11 @@ double DistanceDistribution::Cdf(double d) const {
       if (center_dist_ <= d) acc += mass;
       continue;
     }
-    const double inter = geom::AnnulusCircleIntersectionArea(
-        q_, d, obj_.center(), r_in, r_out);
-    acc += mass * (inter / ring_area);
+    const double inner =
+        lens_boundary == b ? lens : geom::LensArea(center_dist_, d, r_in);
+    lens = geom::LensArea(center_dist_, d, r_out);
+    lens_boundary = b + 1;
+    acc += mass * ((lens - inner) / ring_area);
   }
   return std::clamp(acc, 0.0, 1.0);
 }

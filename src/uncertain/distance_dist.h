@@ -27,7 +27,6 @@ class DistanceDistribution {
 
  private:
   const UncertainObject& obj_;
-  geom::Point q_;
   double center_dist_;
   double lower_;
   double upper_;

@@ -53,27 +53,30 @@ std::vector<PnnAnswer> ComputeQualificationProbabilities(
   dists.reserve(c);
   for (const UncertainObject* o : objs) dists.emplace_back(*o, q);
 
-  std::vector<std::vector<double>> cdf(c, std::vector<double>(m + 1));
+  // One flat table: row i holds F_i at the m + 1 grid radii.
+  const size_t row = static_cast<size_t>(m) + 1;
+  std::vector<double> cdf(c * row);
   for (size_t i = 0; i < c; ++i) {
-    for (int k = 0; k <= m; ++k) {
+    for (size_t k = 0; k < row; ++k) {
       const double r = lo + (hi - lo) * static_cast<double>(k) / m;
-      cdf[i][static_cast<size_t>(k)] = dists[i].Cdf(r);
+      cdf[i * row + k] = dists[i].Cdf(r);
     }
   }
 
   // P_i = sum over grid cells of dF_i * prod_{j != i} (1 - F_j(midpoint)).
   answers.reserve(c);
   for (size_t i = 0; i < c; ++i) {
+    const double* fi = &cdf[i * row];
     double p = 0.0;
-    for (int k = 0; k < m; ++k) {
-      const double df = cdf[i][static_cast<size_t>(k) + 1] - cdf[i][static_cast<size_t>(k)];
+    for (size_t k = 0; k + 1 < row; ++k) {
+      const double df = fi[k + 1] - fi[k];
       if (df <= 0.0) continue;
       double survive = 1.0;
       for (size_t j = 0; j < c; ++j) {
         if (j == i) continue;
-        const double fj = 0.5 * (cdf[j][static_cast<size_t>(k)] +
-                                 cdf[j][static_cast<size_t>(k) + 1]);
-        survive *= (1.0 - fj);
+        const double* fj = &cdf[j * row];
+        const double mid = 0.5 * (fj[k] + fj[k + 1]);
+        survive *= (1.0 - mid);
         if (survive == 0.0) break;
       }
       p += df * survive;

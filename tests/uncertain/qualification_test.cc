@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "common/random.h"
 #include "uncertain/monte_carlo.h"
+#include "qualification_oracle.h"
 
 namespace uvd {
 namespace uncertain {
@@ -156,6 +158,42 @@ TEST(QualificationTest, StatsTicker) {
   objs.push_back(Gauss(1, {4, 0}, 1));
   ComputeQualificationProbabilities(Refs(objs), {0, 0}, {}, &stats);
   EXPECT_EQ(stats.Get(Ticker::kQualificationIntegrations), 1u);
+}
+
+TEST(QualificationOracleTest, BitEqualToPerRingIntegration) {
+  // Seeded candidate sets of 2-32 objects in three layouts: scattered,
+  // coincident centers (every candidate shares one center, radii differ)
+  // and collinear clusters; Gaussian and uniform pdfs, some point objects,
+  // queries outside and inside regions. Ids and probability bits must
+  // match the oracle integration exactly.
+  Rng rng(1212);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 2 + static_cast<int>(rng.UniformInt(0, 30));
+    const int layout = trial % 3;
+    const geom::Point shared{rng.Uniform(-20, 20), rng.Uniform(-20, 20)};
+    std::vector<UncertainObject> objs;
+    for (int i = 0; i < n; ++i) {
+      geom::Point c = shared;
+      if (layout == 0) c = {rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
+      if (layout == 2) c = {shared.x + 3.0 * (i % 4), shared.y - 1.5 * (i % 4)};
+      const double r = i % 7 == 6 ? 0.0 : rng.Uniform(0.5, 12);
+      objs.emplace_back(i, geom::Circle(c, r),
+                        i % 2 == 0 ? RadialHistogramPdf::Gaussian(r)
+                                   : RadialHistogramPdf::Uniform(r));
+    }
+    const geom::Point q = trial % 2 == 0
+                              ? geom::Point{rng.Uniform(-30, 30), rng.Uniform(-30, 30)}
+                              : objs[0].center();
+    const auto got = ComputeQualificationProbabilities(Refs(objs), q);
+    const auto want = oracle::Qualification(Refs(objs), q);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t a = 0; a < got.size(); ++a) {
+      EXPECT_EQ(got[a].id, want[a].id) << "trial " << trial << " answer " << a;
+      EXPECT_EQ(std::memcmp(&got[a].probability, &want[a].probability, sizeof(double)),
+                0)
+          << "trial " << trial << " answer " << a;
+    }
+  }
 }
 
 TEST(MonteCarloTest, SamplePositionsInsideRegion) {
