@@ -18,7 +18,7 @@
 //                    previous-anchor bound, decoded-leaf memo).
 //
 // Every cell builds a byte-identical index; `--determinism-check` proves
-// it by building the example index across thread counts, stage-2 shapes,
+// it by building the example index across thread counts, frontier depths,
 // kernel modes AND traversal modes/tile sizes, diffing serialized digests
 // against the serial build (the CI cross-check step and a ctest smoke run
 // exactly that; exits non-zero on any mismatch).
@@ -51,7 +51,7 @@ std::vector<uint8_t> SerializedIndex(const uvd::core::UVDiagram& d) {
   return bytes;
 }
 
-/// Builds the example dataset at every (threads, mode, depth, kernel,
+/// Builds the example dataset at every (threads, depth, kernel,
 /// traversal, tile) combination and compares serialized digests against
 /// the serial build. Returns the number of mismatches (0 = deterministic).
 int RunDeterminismCheck() {
@@ -73,12 +73,10 @@ int RunDeterminismCheck() {
               static_cast<unsigned long long>(serial_digest));
 
   int mismatches = 0;
-  const auto check = [&](int threads, core::Stage2Mode mode, int depth,
-                         geom::KernelMode kernel, rtree::TraversalMode traversal,
-                         int tile) {
+  const auto check = [&](int threads, int depth, geom::KernelMode kernel,
+                         rtree::TraversalMode traversal, int tile) {
     core::UVDiagramOptions options;
     options.build_threads = threads;
-    options.stage2 = mode;
     options.stage2_max_depth = depth;
     options.kernel_mode = kernel;
     options.traversal_mode = traversal;
@@ -87,9 +85,9 @@ int RunDeterminismCheck() {
     const uint64_t digest = Fnv1a(SerializedIndex(d));
     const bool ok = digest == serial_digest;
     std::printf(
-        "threads=%d %-11s depth=%d kernel=%-6s traversal=%-10s tile=%-3d "
+        "threads=%d depth=%d kernel=%-6s traversal=%-10s tile=%-3d "
         "digest %016llx  %s\n",
-        threads, core::Stage2ModeName(mode), depth, geom::KernelModeName(kernel),
+        threads, depth, geom::KernelModeName(kernel),
         rtree::TraversalModeName(traversal), tile,
         static_cast<unsigned long long>(digest), ok ? "OK" : "MISMATCH");
     if (!ok) ++mismatches;
@@ -97,25 +95,19 @@ int RunDeterminismCheck() {
   for (int threads : {2, 4, 8}) {
     for (geom::KernelMode kernel :
          {geom::KernelMode::kScalar, geom::KernelMode::kBatch}) {
-      check(threads, core::Stage2Mode::kInOrder, 2, kernel,
-            rtree::TraversalMode::kShared, 64);
-      check(threads, core::Stage2Mode::kPartitioned, 2, kernel,
-            rtree::TraversalMode::kShared, 64);
+      check(threads, 2, kernel, rtree::TraversalMode::kShared, 64);
     }
     for (int depth : {1, 3}) {
-      check(threads, core::Stage2Mode::kPartitioned, depth,
-            geom::KernelMode::kBatch, rtree::TraversalMode::kShared, 64);
+      check(threads, depth, geom::KernelMode::kBatch, rtree::TraversalMode::kShared, 64);
     }
   }
   // Traversal axis: per-anchor and shared across tile sizes (1 exercises
   // degenerate single-anchor tiles, 7 exercises tail tiles at 800 % 7 != 0,
   // 256 exercises multi-leaf working sets) on 1 and 8 workers.
   for (int threads : {1, 8}) {
-    check(threads, core::Stage2Mode::kAuto, 2, geom::KernelMode::kBatch,
-          rtree::TraversalMode::kPerAnchor, 64);
+    check(threads, 2, geom::KernelMode::kBatch, rtree::TraversalMode::kPerAnchor, 64);
     for (int tile : {1, 7, 64, 256}) {
-      check(threads, core::Stage2Mode::kAuto, 2, geom::KernelMode::kBatch,
-            rtree::TraversalMode::kShared, tile);
+      check(threads, 2, geom::KernelMode::kBatch, rtree::TraversalMode::kShared, tile);
     }
   }
   if (mismatches == 0) {
@@ -283,7 +275,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Every cell builds a byte-identical index (rtree/traversal_session.h,\n"
       "geom/batch/kernels.h); run with --determinism-check to verify digests\n"
-      "across thread counts, stage-2 shapes, kernel modes and traversal\n"
+      "across thread counts, frontier depths, kernel modes and traversal\n"
       "modes/tile sizes. The shared columns reuse a per-worker traversal\n"
       "session over Morton-ordered anchor tiles with the per-anchor columns\n"
       "as their oracle; descent/decode/kernel split stage-1 CPU seconds by\n"

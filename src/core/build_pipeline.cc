@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <utility>
 
-#include "common/logging.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/uv_cell.h"
@@ -23,18 +22,6 @@ const char* BuildMethodName(BuildMethod m) {
       return "ICR";
     case BuildMethod::kIC:
       return "IC";
-  }
-  return "unknown";
-}
-
-const char* Stage2ModeName(Stage2Mode m) {
-  switch (m) {
-    case Stage2Mode::kAuto:
-      return "auto";
-    case Stage2Mode::kInOrder:
-      return "in-order";
-    case Stage2Mode::kPartitioned:
-      return "partitioned";
   }
   return "unknown";
 }
@@ -115,8 +102,8 @@ std::vector<geom::Circle> RegionsOf(const std::vector<uncertain::UncertainObject
 }
 
 /// Stage-1 output for one object: the ids to index plus the per-object
-/// BuildStats deltas. The consumer accumulates the deltas in id order, so
-/// the floating-point sums match the serial build bit for bit.
+/// BuildStats deltas. Callers accumulate the deltas in id order, so the
+/// floating-point sums are the same for every worker count, bit for bit.
 struct StageResult {
   std::vector<int> index_ids;      // ids whose outside regions describe U_i
   double seed_seconds = 0.0;
@@ -199,61 +186,10 @@ void Accumulate(const StageResult& r, BuildStats* s) {
   s->avg_r_objects += r.r_count;
 }
 
-/// Stage 2: ordered insertion of one stage-1 result.
-Status InsertResult(const std::vector<uncertain::UncertainObject>& objects,
-                    const std::vector<uncertain::ObjectPtr>& ptrs, size_t i,
-                    const StageResult& r, UVIndex* index, BuildStats* local) {
-  ScopedTimer t(&local->indexing_seconds);
-  return index->InsertObject(objects[i].region(), objects[i].id(), ptrs[i],
-                             RegionsOf(objects, r.index_ids));
-}
-
-void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& objects,
-                           const rtree::RTree& tree, const geom::Box& domain,
-                           const BuildPipelineOptions& options, int workers,
-                           ThreadPool* pool, std::vector<StageResult>* results,
-                           Stats* stats);
-
-/// The legacy serial loop: compute and insert one object at a time on the
-/// calling thread.
-Status RunSerial(const std::vector<uncertain::UncertainObject>& objects,
-                 const std::vector<uncertain::ObjectPtr>& ptrs,
-                 const rtree::RTree& tree, const geom::Box& domain,
-                 const BuildPipelineOptions& options, UVIndex* index,
-                 BuildStats* local, Stats* stats) {
-  UVD_TRACE_SPAN("build", "serial_build");
-  const size_t n = objects.size();
-  const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
-  if (options.traversal_mode == rtree::TraversalMode::kShared) {
-    // Materialize stage 1 in Morton order (where the session's pool/bound/
-    // memo reuse lives), then insert in id order. Per-object results are
-    // pure functions of the object, Accumulate still runs in id order, and
-    // stage 2 sees the exact per-anchor sequence — digests are unchanged.
-    std::vector<StageResult> results;
-    RunStage1Materialized(objects, tree, domain, options, /*workers=*/1,
-                          /*pool=*/nullptr, &results, stats);
-    for (size_t i = 0; i < n; ++i) {
-      Accumulate(results[i], local);
-      UVD_RETURN_NOT_OK(InsertResult(objects, ptrs, i, results[i], index, local));
-    }
-    return Status::OK();
-  }
-  const CrObjectFinder finder(objects, tree, domain, FinderOptions(options), stats);
-  CrFinderWorkspace ws = MakeWorkspace(tree, options, stats);
-  for (size_t i = 0; i < n; ++i) {
-    const StageResult r = RunObjectStage(objects, finder, i, domain, options.method,
-                                         denom, options.kernel_mode, stats, &ws);
-    Accumulate(r, local);
-    UVD_RETURN_NOT_OK(InsertResult(objects, ptrs, i, r, index, local));
-  }
-  return Status::OK();
-}
-
 /// Stage 1 materialized across `workers` from `pool` (nullable when
-/// workers <= 1): results land positionally, in any order — there is no
-/// stage-2 consumer to keep in step — and per-worker Stats shards are
-/// merged into `stats` before returning. Shared by ComputeStage1Candidates
-/// and the partitioned stage-2 path.
+/// workers <= 1): results land positionally, in any order, and per-worker
+/// Stats shards are merged into `stats` before returning. Shared by
+/// ComputeStage1Candidates and RunBuildPipeline.
 void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& objects,
                            const rtree::RTree& tree, const geom::Box& domain,
                            const BuildPipelineOptions& options, int workers,
@@ -321,178 +257,6 @@ void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& object
   }
 }
 
-/// Partitioned path: stage 1 materialized, then stage 2 fanned out per
-/// quad-tree subtree with the canonical stitch
-/// (UVIndex::InsertObjectsPartitioned) and a parallel Finalize. The two
-/// stages are disjoint phases here, so the per-stage walls are genuine.
-Status RunPartitioned(const std::vector<uncertain::UncertainObject>& objects,
-                      const std::vector<uncertain::ObjectPtr>& ptrs,
-                      const rtree::RTree& tree, const geom::Box& domain,
-                      const BuildPipelineOptions& options, int workers,
-                      UVIndex* index, BuildStats* local, Stats* stats) {
-  const size_t n = objects.size();
-  ThreadPool pool(workers);
-
-  std::vector<StageResult> results;
-  {
-    UVD_TRACE_SPAN("build", "stage1");
-    Timer stage1_timer;
-    RunStage1Materialized(objects, tree, domain, options, workers, &pool, &results,
-                          stats);
-    local->stage1_wall_seconds = stage1_timer.ElapsedSeconds();
-  }
-  // Accumulate the per-object BuildStats deltas in id order — the same
-  // floating-point summation order as the serial build, bit for bit.
-  for (size_t i = 0; i < n; ++i) Accumulate(results[i], local);
-
-  Timer stage2_timer;
-  std::vector<UVIndex::BulkInsertItem> items(n);
-  for (size_t i = 0; i < n; ++i) {
-    items[i].region = objects[i].region();
-    items[i].id = objects[i].id();
-    items[i].ptr = ptrs[i];
-    items[i].cr_regions = RegionsOf(objects, results[i].index_ids);
-    results[i].index_ids.clear();
-    results[i].index_ids.shrink_to_fit();
-  }
-  UVIndex::PartitionedInsertOptions popts;
-  popts.threads = workers;
-  popts.max_depth = options.stage2_max_depth;
-  popts.target_subtrees = options.stage2_target_subtrees;
-  {
-    UVD_TRACE_SPAN("build", "stage2");
-    ScopedTimer t(&local->indexing_seconds);
-    UVD_RETURN_NOT_OK(index->InsertObjectsPartitioned(std::move(items), &pool, popts));
-    UVD_RETURN_NOT_OK(index->FinalizeWith(&pool, workers));
-  }
-  local->stage2_wall_seconds = stage2_timer.ElapsedSeconds();
-  return Status::OK();
-}
-
-/// Fan-out path: stage-1 workers feed the in-order consumer through a
-/// bounded ring buffer.
-Status RunParallel(const std::vector<uncertain::UncertainObject>& objects,
-                   const std::vector<uncertain::ObjectPtr>& ptrs,
-                   const rtree::RTree& tree, const geom::Box& domain,
-                   const BuildPipelineOptions& options, int workers,
-                   UVIndex* index, BuildStats* local, Stats* stats) {
-  const size_t n = objects.size();
-  const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
-  const size_t window =
-      options.queue_window >= workers ? static_cast<size_t>(options.queue_window)
-                                      : static_cast<size_t>(2 * workers + 2);
-
-  struct Slot {
-    StageResult result;
-    bool ready = false;
-  };
-  // The ring's shared state lives in one annotated struct so the analysis
-  // checks the stage-1-worker / consumer handoff: every guarded access in
-  // the lambdas below must hold ring.mu.
-  struct RingState {
-    Mutex mu;
-    CondVar cv_space;  // consumer advanced or abort
-    CondVar cv_ready;  // a slot became ready
-    std::vector<Slot> slots UVD_GUARDED_BY(mu);
-    size_t consumed UVD_GUARDED_BY(mu) = 0;
-    bool abort UVD_GUARDED_BY(mu) = false;
-  };
-  RingState ring;
-  {
-    MutexLock lock(ring.mu);
-    ring.slots.resize(window);
-  }
-  std::atomic<size_t> next{0};
-
-  // One Stats shard per worker keeps the hottest tickers (envelope
-  // insertions, hyperbola tests) contention-free; shards are merged below.
-  // R-tree / page tickers billed through the tree's own Stats pointer are
-  // relaxed atomics, so sharing them across workers is exact too.
-  std::vector<Stats> shards(static_cast<size_t>(workers));
-
-  // The stages overlap in this mode; stage-1 wall = time until the LAST
-  // worker drained its share (each worker records its exit under mu).
-  Timer phase_timer;
-
-  ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.Submit([&, w] {
-      UVD_TRACE_SPAN("build", "stage1_worker");
-      Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
-      const CrObjectFinder finder(objects, tree, domain, FinderOptions(options), shard);
-      // Claims stay in id order here (the bounded in-order ring needs
-      // production near the consumption frontier), but the session's
-      // frontier reuse and leaf memo still pay off under kShared.
-      CrFinderWorkspace ws = MakeWorkspace(tree, options, shard);
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) {
-          MutexLock lock(ring.mu);
-          local->stage1_wall_seconds =
-              std::max(local->stage1_wall_seconds, phase_timer.ElapsedSeconds());
-          return;
-        }
-        {
-          // Bound how far stage 1 runs ahead of the consumer. The worker
-          // holding the smallest unfilled index is always admitted
-          // (window >= workers), so the claim-then-wait order cannot
-          // deadlock.
-          MutexLock lock(ring.mu);
-          while (!ring.abort && i >= ring.consumed + window) {
-            ring.cv_space.Wait(ring.mu);
-          }
-          if (ring.abort) return;
-        }
-        StageResult r = RunObjectStage(objects, finder, i, domain, options.method,
-                                       denom, options.kernel_mode, shard, &ws);
-        {
-          MutexLock lock(ring.mu);
-          Slot& slot = ring.slots[i % window];
-          UVD_DCHECK(!slot.ready);
-          slot.result = std::move(r);
-          slot.ready = true;
-        }
-        ring.cv_ready.NotifyAll();
-      }
-    });
-  }
-
-  // In-order consumer: object i is inserted only after 0..i-1, so the
-  // index evolves exactly as in the serial build.
-  UVD_TRACE_SPAN("build", "stage2_consumer");
-  Status status;
-  for (size_t i = 0; i < n; ++i) {
-    StageResult r;
-    {
-      MutexLock lock(ring.mu);
-      while (!ring.slots[i % window].ready) ring.cv_ready.Wait(ring.mu);
-      Slot& slot = ring.slots[i % window];
-      r = std::move(slot.result);
-      slot.ready = false;
-      ring.consumed = i + 1;
-    }
-    ring.cv_space.NotifyAll();
-    Accumulate(r, local);
-    status = InsertResult(objects, ptrs, i, r, index, local);
-    if (!status.ok()) {
-      MutexLock lock(ring.mu);
-      ring.abort = true;
-      break;
-    }
-  }
-  ring.cv_space.NotifyAll();
-  pool.Wait();
-
-  if (stats != nullptr) {
-    for (const Stats& shard : shards) stats->MergeFrom(shard);
-  }
-  // Consumer wall: the in-order insertion ran alongside stage 1 from the
-  // first result on, so this wall overlaps stage1_wall_seconds (the
-  // header's caveat); Finalize is added by the caller.
-  local->stage2_wall_seconds = phase_timer.ElapsedSeconds();
-  return status;
-}
-
 Status ValidateIdOrder(const std::vector<uncertain::UncertainObject>& objects) {
   for (size_t i = 0; i < objects.size(); ++i) {
     if (objects[i].id() != static_cast<int>(i)) {
@@ -514,6 +278,16 @@ void NormalizeBuildStats(size_t n, BuildStats* s) {
 
 }  // namespace
 
+Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
+                 int workers, int max_depth, UVIndex* index) {
+  UVD_TRACE_SPAN("build", "stage2");
+  UVIndex::PartitionedInsertOptions popts;
+  popts.threads = workers;
+  popts.max_depth = max_depth;
+  UVD_RETURN_NOT_OK(index->InsertObjectsPartitioned(std::move(items), pool, popts));
+  return index->FinalizeWith(pool, workers);
+}
+
 Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
                         const std::vector<uncertain::ObjectPtr>& ptrs,
                         const rtree::RTree& tree, const geom::Box& domain,
@@ -523,47 +297,46 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
     return Status::InvalidArgument("objects/ptrs size mismatch");
   }
   UVD_RETURN_NOT_OK(ValidateIdOrder(objects));
-
+  const size_t n = objects.size();
   const int workers =
       options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads();
-  // Mode resolution: the partitioned stage 2 is the default whenever more
-  // than one worker runs; kInOrder keeps PR 1's exact-ticker pipeline
-  // selectable; a single worker always runs the legacy serial loop unless
-  // the partitioned path is requested explicitly (it degrades to the same
-  // serial insertion order).
-  Stage2Mode mode = options.stage2;
-  if (mode == Stage2Mode::kAuto) {
-    mode = workers > 1 ? Stage2Mode::kPartitioned : Stage2Mode::kInOrder;
-  }
 
   BuildStats local;
   Timer total_timer;
-  Status status;
-  if (mode == Stage2Mode::kPartitioned) {
-    status = RunPartitioned(objects, ptrs, tree, domain, options, workers, index,
-                            &local, stats);
-  } else if (workers == 1) {
-    status = RunSerial(objects, ptrs, tree, domain, options, index, &local, stats);
-  } else {
-    status =
-        RunParallel(objects, ptrs, tree, domain, options, workers, index, &local, stats);
-  }
-  UVD_RETURN_NOT_OK(status);
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
+  std::vector<StageResult> results;
   {
-    // A no-op after RunPartitioned (which finalizes with its pool).
+    UVD_TRACE_SPAN("build", "stage1");
+    Timer stage1_timer;
+    RunStage1Materialized(objects, tree, domain, options, workers, pool_ptr, &results,
+                          stats);
+    local.stage1_wall_seconds = stage1_timer.ElapsedSeconds();
+  }
+  // Accumulate the per-object BuildStats deltas in id order — the same
+  // floating-point summation order for every worker count, bit for bit.
+  for (size_t i = 0; i < n; ++i) Accumulate(results[i], &local);
+
+  Timer stage2_timer;
+  std::vector<UVIndex::BulkInsertItem> items(n);
+  for (size_t i = 0; i < n; ++i) {
+    items[i].region = objects[i].region();
+    items[i].id = objects[i].id();
+    items[i].ptr = ptrs[i];
+    items[i].cr_regions = RegionsOf(objects, results[i].index_ids);
+    results[i].index_ids.clear();
+    results[i].index_ids.shrink_to_fit();
+  }
+  {
     ScopedTimer t(&local.indexing_seconds);
-    ScopedTimer t2(&local.stage2_wall_seconds);
-    UVD_RETURN_NOT_OK(index->Finalize());
+    UVD_RETURN_NOT_OK(
+        RunStage2(std::move(items), pool_ptr, workers, options.stage2_max_depth, index));
   }
-  if (mode != Stage2Mode::kPartitioned && workers == 1) {
-    // Serial loop: per-stage CPU sums ARE the walls.
-    local.stage1_wall_seconds =
-        local.seed_seconds + local.pruning_seconds + local.robject_seconds;
-    local.stage2_wall_seconds = local.indexing_seconds;
-  }
+  local.stage2_wall_seconds = stage2_timer.ElapsedSeconds();
 
   local.total_seconds = total_timer.ElapsedSeconds();
-  NormalizeBuildStats(objects.size(), &local);
+  NormalizeBuildStats(n, &local);
   if (build_stats != nullptr) *build_stats = local;
   return Status::OK();
 }

@@ -10,24 +10,17 @@
 //             Order-sensitive — split decisions depend on the resident
 //             set — so naively it is serial.
 //
-// Stage-2 strategies (Stage2Mode):
-//
-//   * kInOrder (PR 1): stage-1 workers feed one consumer through a bounded
-//     in-order ring buffer; the consumer inserts object i only after i-1,
-//     so the index evolves exactly as in the serial build. Stage 1
-//     overlaps stage 2, but stage 2 itself is the Amdahl remainder.
-//   * kPartitioned (default when parallel): stage-1 results are
-//     materialized, then stage 2 itself fans out per quad-tree subtree —
-//     a short serial prefix grows the top-level scaffold, every object is
-//     routed to each frontier subtree its UV-cell may overlap, subtrees
-//     build independently in private node arenas, and a canonical stitch
-//     renumbers the new nodes into the serial creation order (see
-//     UVIndex::InsertObjectsPartitioned for the full contract). The
-//     serialized index is bitwise-identical to the serial build for every
-//     thread count and frontier depth.
-//   * build_threads = 1 (or kAuto with one worker) runs the legacy
-//     single-threaded loop (no pool, no queue); build_threads <= 0 uses
-//     hardware concurrency.
+// RunBuildPipeline runs the two as disjoint phases on one path for every
+// worker count: stage 1 is materialized across the workers, then RunStage2
+// hands the results to UVIndex::InsertObjectsPartitioned and finalizes.
+// With one worker that is the plain serial insertion loop; with more, a
+// short serial prefix grows the top-level scaffold, every object is routed
+// to each frontier subtree its UV-cell may overlap, subtrees build
+// independently in private node arenas, and a canonical stitch renumbers
+// the new nodes into the serial creation order (see
+// UVIndex::InsertObjectsPartitioned for the full contract). Sharded builds
+// (src/shard/) call RunStage2 once per shard. build_threads <= 0 uses
+// hardware concurrency.
 //
 // Stage-1 traversal strategies (rtree::TraversalMode):
 //
@@ -39,23 +32,24 @@
 //   * kPerAnchor: the historical root-restart per object — the traversal
 //     determinism oracle.
 //
-// Determinism guarantee, all modes: the quad-tree structure, leaf tuples,
-// page layout and every non-timing BuildStats field are byte-identical to
-// build_threads = 1, across Stage2Mode, KernelMode and TraversalMode.
-// Stats tickers are exact for every stage-2 mode (the partitioned path
-// replays the serial per-leaf pruner-hint evolution, so even the
-// scan-order tickers kHyperbolaTests / kFourPointTests match — see
-// uv_index.h). Along the traversal axis the work tickers
-// kRtreeNodeVisits / kRtreeLeafReads / kLeafMemo* — and the page-I/O
-// counters kPageReads / kBufferPool* that leaf decodes feed — are
+// Determinism guarantee: the quad-tree structure, leaf tuples, page layout
+// and every non-timing BuildStats field are byte-identical to inserting
+// the objects one by one with UVIndex::InsertObject, for every worker
+// count, frontier depth, KernelMode and TraversalMode. Stats tickers are
+// exact across worker counts and depths too (the partitioned path replays
+// the serial per-leaf pruner-hint evolution, so even the scan-order
+// tickers kHyperbolaTests / kFourPointTests match — see uv_index.h; the
+// KernelMode axis changes those two). Along the traversal axis the
+// work tickers kRtreeNodeVisits / kRtreeLeafReads / kLeafMemo* — and the
+// page-I/O counters kPageReads / kBufferPool* that leaf decodes feed — are
 // config-dependent under kShared (that saved work is the point); every
 // decision-count ticker still matches kPerAnchor exactly.
 //
 // Timing fields (seed/pruning/robject seconds) are summed across workers,
 // i.e. aggregate CPU seconds; with build_threads > 1 they can exceed
 // total_seconds, which stays wall-clock. stage1_wall_seconds /
-// stage2_wall_seconds report per-stage wall clock alongside those sums
-// (for kInOrder the stages overlap, so their walls can sum past total).
+// stage2_wall_seconds report the two phases' wall clocks alongside those
+// sums.
 #ifndef UVD_CORE_BUILD_PIPELINE_H_
 #define UVD_CORE_BUILD_PIPELINE_H_
 
@@ -63,6 +57,7 @@
 
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/cr_finder.h"
 #include "core/uv_index.h"
 #include "geom/box.h"
@@ -92,23 +87,6 @@ enum class BuildMethod {
 
 const char* BuildMethodName(BuildMethod m);
 
-/// How stage 2 (quad-tree insertion) is executed. Every mode produces a
-/// byte-identical serialized index; they differ in parallelism and in
-/// which Stats tickers stay exactly equal to the serial build's.
-enum class Stage2Mode {
-  /// kPartitioned when more than one worker runs, else serial.
-  kAuto,
-  /// PR 1's bounded in-order ring: one consumer inserts in id order while
-  /// stage-1 workers run ahead. Exact tickers; stage 2 stays serial.
-  kInOrder,
-  /// Domain-partitioned parallel insertion with a canonical stitch
-  /// (UVIndex::InsertObjectsPartitioned). Parallel stage 2; scan-order
-  /// tickers may differ from the serial build.
-  kPartitioned,
-};
-
-const char* Stage2ModeName(Stage2Mode m);
-
 /// Construction-time decomposition and pruning diagnostics
 /// (Fig. 7(a)-(g)). With build_threads > 1 the per-stage timing fields are
 /// aggregate CPU seconds across workers; every other non-wall field is
@@ -123,9 +101,7 @@ struct BuildStats {
   /// Wall clock per stage, reported alongside the per-worker CPU sums
   /// above (which overstate per-stage time whenever build_threads > 1 —
   /// the Fig. 7 breakdown caveat). Stage 1 is candidate generation; stage
-  /// 2 is insertion + stitch + Finalize. Under Stage2Mode::kInOrder the
-  /// stages overlap in time, so these walls can sum past total_seconds;
-  /// under kPartitioned they are disjoint phases.
+  /// 2 is insertion + stitch + Finalize. The stages are disjoint phases.
   double stage1_wall_seconds = 0.0;
   double stage2_wall_seconds = 0.0;
 
@@ -149,21 +125,13 @@ struct BuildStats {
 struct BuildPipelineOptions {
   BuildMethod method = BuildMethod::kIC;
   CrFinderOptions cr;
-  /// Worker count for both stages. <= 0: hardware concurrency; 1: the
-  /// exact legacy serial loop. Any value yields a byte-identical index.
+  /// Worker count for both stages. <= 0: hardware concurrency; 1: no
+  /// pool, both stages on the calling thread. Any value yields a
+  /// byte-identical index.
   int build_threads = 0;
-  /// Bounded in-order queue window (max objects a worker may run ahead of
-  /// the consumer; Stage2Mode::kInOrder only). <= 0: 2 * workers + 2.
-  /// Must be >= the worker count to stay deadlock-free; smaller values
-  /// are clamped.
-  int queue_window = 0;
-  /// Stage-2 strategy; see Stage2Mode.
-  Stage2Mode stage2 = Stage2Mode::kAuto;
-  /// Partition frontier depth cap for kPartitioned (clamped to [1, 3]).
+  /// Partition frontier depth cap of the parallel stage 2 (clamped to
+  /// [1, 3]; see UVIndex::PartitionedInsertOptions).
   int stage2_max_depth = 2;
-  /// Frontier size the serial prefix aims for. <= 0: 2 * workers,
-  /// clamped to [4, 64].
-  int stage2_target_subtrees = 0;
   /// Stage-1 candidate-kernel implementation (geom/batch/kernels.h),
   /// applied to C-pruning, seed-region widening and exact-cell refinement.
   /// Overrides cr.kernel_mode. Both modes build bitwise-identical indexes;
@@ -183,16 +151,25 @@ struct BuildPipelineOptions {
   int leaf_memo_capacity = 256;
 };
 
-/// Runs the staged pipeline: stage-1 fan-out, in-order stage-2 insertion,
-/// then UVIndex::Finalize(). `tree` is the R-tree over the same objects
-/// (Algorithm 2's k-NN and range queries); `ptrs` are the ObjectStore
-/// pointers stored in leaf tuples. Objects must be in id order
-/// (objects[i].id() == i).
+/// Runs the staged pipeline: materialized stage-1 fan-out, then RunStage2.
+/// `tree` is the R-tree over the same objects (Algorithm 2's k-NN and
+/// range queries); `ptrs` are the ObjectStore pointers stored in leaf
+/// tuples. Objects must be in id order (objects[i].id() == i); `index`
+/// must be fresh.
 Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
                         const std::vector<uncertain::ObjectPtr>& ptrs,
                         const rtree::RTree& tree, const geom::Box& domain,
                         const BuildPipelineOptions& options, UVIndex* index,
                         BuildStats* build_stats = nullptr, Stats* stats = nullptr);
+
+/// Stage 2, the one insertion path of every build: inserts `items` in
+/// order into the fresh `index` (UVIndex::InsertObjectsPartitioned with
+/// `workers` workers and frontier depth `max_depth`), then finalizes it
+/// with the same workers. `pool` may be null, which runs both steps on the
+/// calling thread, and may be shared with sibling builds. The index
+/// serializes identically for every worker count and depth.
+Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
+                 int workers, int max_depth, UVIndex* index);
 
 /// Stage 1 alone, materialized: index_ids->at(i) holds the ids whose
 /// outside regions describe object i's UV-cell (cr-objects for IC,
@@ -201,11 +178,11 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
 /// shards; per-object results and the BuildStats aggregation are
 /// accumulated in id order, so the output is bit-identical for every
 /// thread count. Sharded construction (src/shard/) runs this once against
-/// the global population, then replays the results into every sub-domain
-/// index an object's cell overlaps — the per-subdomain build/merge split
-/// of divide-and-conquer Voronoi construction. Timing semantics match
-/// RunBuildPipeline (aggregate CPU seconds across workers);
-/// indexing_seconds stays 0.
+/// the global population, then runs RunStage2 on every sub-domain index
+/// with the objects whose cells overlap it — the per-subdomain
+/// build/merge split of divide-and-conquer Voronoi construction. Timing
+/// semantics match RunBuildPipeline (aggregate CPU seconds across
+/// workers); indexing_seconds stays 0.
 Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& objects,
                                const rtree::RTree& tree, const geom::Box& domain,
                                const BuildPipelineOptions& options,

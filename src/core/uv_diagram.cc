@@ -74,9 +74,7 @@ Result<UVDiagram> UVDiagram::Build(std::vector<uncertain::UncertainObject> objec
   pipeline.method = options.method;
   pipeline.cr = d.options_.cr;
   pipeline.build_threads = options.build_threads;
-  pipeline.stage2 = options.stage2;
   pipeline.stage2_max_depth = options.stage2_max_depth;
-  pipeline.stage2_target_subtrees = options.stage2_target_subtrees;
   pipeline.kernel_mode = options.kernel_mode;
   pipeline.traversal_mode = options.traversal_mode;
   pipeline.traversal_tile_size = options.traversal_tile_size;

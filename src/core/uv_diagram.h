@@ -16,7 +16,7 @@
 #include "common/result.h"
 #include "common/stats.h"
 #include "common/thread_annotations.h"
-#include "core/builder.h"
+#include "core/build_pipeline.h"
 #include "core/pattern_queries.h"
 #include "core/pnn.h"
 #include "core/uv_index.h"
@@ -40,15 +40,12 @@ struct UVDiagramOptions {
   uncertain::QualificationOptions qualification;
   size_t page_size = storage::kDefaultPageSize;
   /// Construction worker count (see core/build_pipeline.h). <= 0: hardware
-  /// concurrency (the default); 1: the serial legacy loop. The resulting
-  /// index is byte-identical for every setting.
+  /// concurrency (the default); 1: no pool, the build runs on the calling
+  /// thread. The resulting index is byte-identical for every setting.
   int build_threads = 0;
-  /// Stage-2 strategy and partition shape (see core/build_pipeline.h).
-  /// kAuto runs the domain-partitioned parallel stage 2 whenever more than
-  /// one worker builds; every mode serializes to identical bytes.
-  Stage2Mode stage2 = Stage2Mode::kAuto;
+  /// Partition frontier depth of the parallel stage 2 (see
+  /// core/build_pipeline.h); every depth serializes to identical bytes.
   int stage2_max_depth = 2;
-  int stage2_target_subtrees = 0;
   /// Construction kernel implementation for both stages (see
   /// core/build_pipeline.h and geom/batch/kernels.h). Applied to cr,
   /// index and the pipeline; the index is byte-identical either way.

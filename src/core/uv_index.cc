@@ -371,24 +371,22 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
 
   PartitionedInsertReport rep;
   rep.total_objects = n;
+  const int workers = pool == nullptr ? 1 : std::max(1, options.threads);
+
   // Snapshot for the budget-overflow fallback: the serial rebuild must
   // leave the tickers as if only it had run (the exactness contract
   // above), so the prefix/route/subtree ticks are unwound by restoring
   // this and never merging the discarded shards.
   Stats stats_before_build;
   if (stats_ != nullptr) stats_before_build = *stats_;
-  const int workers = std::max(1, options.threads);
   const int max_depth = std::min(3, std::max(1, options.max_depth));
-  // 4^max_depth caps what the frontier can ever reach; without the clamp a
-  // shallow max_depth would chase an unreachable target and serialize the
-  // whole build into the prefix.
-  const int max_frontier = 1 << (2 * max_depth);
-  const int target_subtrees = std::min(
-      max_frontier, options.target_subtrees > 0 ? options.target_subtrees
-                                                : std::max(4, 2 * workers));
-  const size_t prefix_cap =
-      options.prefix_cap > 0 ? options.prefix_cap
-                             : 16u * static_cast<size_t>(options_.leaf_fanout);
+  // The prefix stops once the frontier offers two subtrees per worker (at
+  // least 4). 4^max_depth caps what the frontier can ever reach; without
+  // the clamp a shallow max_depth would chase an unreachable target and
+  // serialize the whole build into the prefix, as would a skewed dataset
+  // whose scaffold never fills out — hence the item cap.
+  const int target_subtrees = std::min(1 << (2 * max_depth), std::max(4, 2 * workers));
+  const size_t prefix_cap = 16u * static_cast<size_t>(options_.leaf_fanout);
 
   // Phase 0 — materialize every member record up front. MakeMember is a
   // pure function of the item (the envelope fast path never looks at the
@@ -412,6 +410,8 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
         }
       }
     });
+    // Only the moved-from item shells are left; release them now.
+    std::vector<BulkInsertItem>().swap(items);
   }
 
   // Phase 1 — serial prefix: the exact serial algorithm, one item at a
@@ -423,7 +423,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
   size_t p = 0;
   {
     ScopedTimer t(&rep.prefix_seconds);
-    if (workers <= 1 || pool == nullptr) {
+    if (workers <= 1) {
       for (; p < n; ++p) InsertInto(main_arena, root(), static_cast<uint32_t>(p));
     } else {
       int frontier_size = 1;

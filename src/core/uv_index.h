@@ -113,12 +113,6 @@ class UVIndex {
     /// Partition frontier depth cap below the root (clamped to [1, 3]):
     /// up to 4^max_depth insertion domains.
     int max_depth = 2;
-    /// Stop growing the serial prefix once the frontier reaches this many
-    /// subtrees. <= 0: min(64, max(4, 2 * threads)).
-    int target_subtrees = 0;
-    /// Hard cap on the serial prefix length (objects inserted before the
-    /// fan-out, scaffold permitting). <= 0: 16 * leaf_fanout.
-    size_t prefix_cap = 0;
   };
 
   /// Diagnostics from one partitioned insertion.
@@ -140,11 +134,18 @@ class UVIndex {
   /// BITWISE-IDENTICAL to calling InsertObject(items[0]), ...,
   /// InsertObject(items[n-1]) on a fresh index.
   ///
-  /// How the serial bytes are reproduced (the determinism contract):
+  /// With one worker (threads <= 1 or a null pool) the members are made
+  /// first and then inserted by that loop, the whole build being the
+  /// serial prefix of step 1.
+  ///
+  /// How the serial bytes are reproduced with more workers (the
+  /// determinism contract):
   ///   1. Serial prefix: items are inserted one at a time by the exact
-  ///      serial algorithm until every node above the partition frontier
-  ///      has split (the scaffold). From then on an ancestor can never
-  ///      split again, so the frontier subtrees evolve independently.
+  ///      serial algorithm until the root has split and either the
+  ///      frontier holds min(4^max_depth, max(4, 2 * threads)) subtrees or
+  ///      16 * leaf_fanout items are in. Every node above the frontier has
+  ///      split by definition (the scaffold), so no ancestor can split
+  ///      again and the frontier subtrees evolve independently.
   ///   2. Route: each remaining item is tested against the scaffold with
   ///      the same CheckOverlap descent the serial build would run, and
   ///      assigned to every frontier subtree it reaches (the same

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -431,41 +432,24 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
     index_options.accept_border_objects = true;  // replicas may center elsewhere
     sh.index = std::make_unique<core::UVIndex>(sh.box, sh.pm.get(), index_options,
                                                sh.stats.get());
-    if (stage2_threads > 1 &&
-        d.options_.diagram.stage2 != core::Stage2Mode::kInOrder) {
-      // Partitioned stage 2 within the shard: the leftover threads (K <
-      // build_threads leaves workers idle once every shard has one) fan
-      // the shard's own quad-tree insertion out per subtree. Identical
-      // bytes to the serial loop below — the canonical-stitch contract of
-      // InsertObjectsPartitioned — so sharded answers stay bitwise-equal
-      // to the unsharded build either way.
-      std::vector<core::UVIndex::BulkInsertItem> items(sh.object_ids.size());
-      for (size_t k = 0; k < sh.object_ids.size(); ++k) {
-        const size_t gid = static_cast<size_t>(sh.object_ids[k]);
-        items[k].region = d.objects_[gid].region();
-        items[k].id = sh.object_ids[k];
-        items[k].ptr = sh.ptrs[k];
-        items[k].cr_regions = cell_regions[gid];  // copy: shared across shards
-      }
-      core::UVIndex::PartitionedInsertOptions popts;
-      popts.threads = stage2_threads;
-      popts.max_depth = d.options_.diagram.stage2_max_depth;
-      popts.target_subtrees = d.options_.diagram.stage2_target_subtrees;
-      ThreadPool stage2_pool(stage2_threads);
-      shard_status[s] =
-          sh.index->InsertObjectsPartitioned(std::move(items), &stage2_pool, popts);
-      if (!shard_status[s].ok()) return;
-      shard_status[s] = sh.index->FinalizeWith(&stage2_pool, stage2_threads);
-      return;
-    }
+    // Shard stage 2 is the pipeline's own (core::RunStage2) with this
+    // shard's share of the build threads: identical bytes for every thread
+    // count, so sharded answers stay bitwise-equal to the unsharded build.
+    std::vector<core::UVIndex::BulkInsertItem> items(sh.object_ids.size());
     for (size_t k = 0; k < sh.object_ids.size(); ++k) {
       const size_t gid = static_cast<size_t>(sh.object_ids[k]);
-      shard_status[s] = sh.index->InsertObject(d.objects_[gid].region(),
-                                               sh.object_ids[k], sh.ptrs[k],
-                                               cell_regions[gid]);
-      if (!shard_status[s].ok()) return;
+      items[k].region = d.objects_[gid].region();
+      items[k].id = sh.object_ids[k];
+      items[k].ptr = sh.ptrs[k];
+      items[k].cr_regions = cell_regions[gid];  // copy: shared across shards
     }
-    shard_status[s] = sh.index->Finalize();
+    std::optional<ThreadPool> stage2_pool;
+    if (stage2_threads > 1) stage2_pool.emplace(stage2_threads);
+    shard_status[s] = core::RunStage2(std::move(items),
+                                      stage2_pool ? &*stage2_pool : nullptr,
+                                      stage2_threads,
+                                      d.options_.diagram.stage2_max_depth,
+                                      sh.index.get());
   };
 
   if (workers <= 1) {

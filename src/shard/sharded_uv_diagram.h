@@ -22,12 +22,11 @@
 //      id order, with their global cell descriptions — into a UVIndex
 //      whose domain is the shard box. Shard builds fan out across the
 //      worker pool; each shard's storage and stats are private, so the
-//      builds share nothing but the read-only stage-1 output. When fewer
-//      shards than build threads exist, each shard's own stage 2 runs the
-//      domain-partitioned parallel insertion
-//      (core::UVIndex::InsertObjectsPartitioned) with its share of the
-//      leftover threads — the same bytes as the serial insertion loop,
-//      faster wall clock.
+//      builds share nothing but the read-only stage-1 output. Each shard's
+//      insertion is the pipeline's own stage 2 (core::RunStage2) with its
+//      share of the build threads: the serial insertion loop with one,
+//      the domain-partitioned parallel insertion when fewer shards than
+//      build threads leave some over — the same bytes either way.
 //
 // Border-correctness guarantee (the reason replication is by cell, not by
 // position): for any query point q, the owning shard's leaf candidate list

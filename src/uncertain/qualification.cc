@@ -24,6 +24,29 @@ std::vector<const UncertainObject*> FilterByDMinMax(
   return out;
 }
 
+std::vector<double> DistanceCdfTable(const std::vector<const UncertainObject*>& objs,
+                                     const geom::Point& q, int m) {
+  // Integration domain: from the smallest possible NN distance to d_minmax
+  // (beyond which some candidate is certainly closer).
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  for (const UncertainObject* o : objs) {
+    lo = std::min(lo, o->DistMin(q));
+    hi = std::min(hi, o->DistMax(q));
+  }
+  UVD_DCHECK_LE(lo, hi);
+  const size_t row = static_cast<size_t>(m) + 1;
+  std::vector<double> cdf(objs.size() * row);
+  for (size_t i = 0; i < objs.size(); ++i) {
+    const DistanceDistribution dist(*objs[i], q);
+    for (size_t k = 0; k < row; ++k) {
+      const double r = lo + (hi - lo) * static_cast<double>(k) / m;
+      cdf[i * row + k] = dist.Cdf(r);
+    }
+  }
+  return cdf;
+}
+
 std::vector<PnnAnswer> ComputeQualificationProbabilities(
     const std::vector<const UncertainObject*>& candidates, const geom::Point& q,
     const QualificationOptions& options, Stats* stats) {
@@ -36,32 +59,10 @@ std::vector<PnnAnswer> ComputeQualificationProbabilities(
     return answers;
   }
 
-  // Integration domain: from the smallest possible NN distance to d_minmax
-  // (beyond which some candidate is certainly closer).
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  for (const UncertainObject* o : objs) {
-    lo = std::min(lo, o->DistMin(q));
-    hi = std::min(hi, o->DistMax(q));
-  }
   const int m = std::max(2, options.integration_steps);
-  UVD_DCHECK_LE(lo, hi);
-
-  // Distance CDFs on a shared grid.
   const size_t c = objs.size();
-  std::vector<DistanceDistribution> dists;
-  dists.reserve(c);
-  for (const UncertainObject* o : objs) dists.emplace_back(*o, q);
-
-  // One flat table: row i holds F_i at the m + 1 grid radii.
   const size_t row = static_cast<size_t>(m) + 1;
-  std::vector<double> cdf(c * row);
-  for (size_t i = 0; i < c; ++i) {
-    for (size_t k = 0; k < row; ++k) {
-      const double r = lo + (hi - lo) * static_cast<double>(k) / m;
-      cdf[i * row + k] = dists[i].Cdf(r);
-    }
-  }
+  const std::vector<double> cdf = DistanceCdfTable(objs, q, m);
 
   // P_i = sum over grid cells of dF_i * prod_{j != i} (1 - F_j(midpoint)).
   answers.reserve(c);

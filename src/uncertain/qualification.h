@@ -36,6 +36,15 @@ struct QualificationOptions {
 std::vector<const UncertainObject*> FilterByDMinMax(
     const std::vector<const UncertainObject*>& candidates, const geom::Point& q);
 
+/// The distance-CDF table both qualification integrals (this file's and
+/// QualificationBounds in threshold.h) run on: F_i(r_k) for each of the
+/// d_minmax-filtered objects `objs` (non-empty) at the m + 1 radii
+/// r_k = lo + (hi - lo) * k / m, k = 0..m, spanning [lo, hi] =
+/// [min_i dist_min(O_i, q), d_minmax]. Flat, row i holding objs[i]:
+/// entry (i, k) is at i * (m + 1) + k.
+std::vector<double> DistanceCdfTable(const std::vector<const UncertainObject*>& objs,
+                                     const geom::Point& q, int m);
+
 /// Computes qualification probabilities for the given candidate set.
 /// `candidates` must contain every object with dist_min <= d_minmax for the
 /// probabilities to sum to 1 (the filter is applied internally as well).

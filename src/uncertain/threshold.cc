@@ -1,11 +1,6 @@
 #include "uncertain/threshold.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "common/logging.h"
-#include "uncertain/distance_dist.h"
 
 namespace uvd {
 namespace uncertain {
@@ -21,25 +16,10 @@ std::vector<ThresholdAnswer> QualificationBounds(
     return out;
   }
 
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  for (const UncertainObject* o : objs) {
-    lo = std::min(lo, o->DistMin(q));
-    hi = std::min(hi, o->DistMax(q));
-  }
   const int m = std::max(2, verifier_steps);
   const size_t c = objs.size();
-
-  std::vector<DistanceDistribution> dists;
-  dists.reserve(c);
-  for (const UncertainObject* o : objs) dists.emplace_back(*o, q);
-  std::vector<std::vector<double>> cdf(c, std::vector<double>(m + 1));
-  for (size_t i = 0; i < c; ++i) {
-    for (int k = 0; k <= m; ++k) {
-      const double r = lo + (hi - lo) * static_cast<double>(k) / m;
-      cdf[i][static_cast<size_t>(k)] = dists[i].Cdf(r);
-    }
-  }
+  const size_t row = static_cast<size_t>(m) + 1;
+  const std::vector<double> cdf = DistanceCdfTable(objs, q, m);
 
   // P_i = sum_k Integral_{cell k} prod_{j != i} (1 - F_j(r)) dF_i(r).
   // All F_j are non-decreasing, so over cell k the survival product is
@@ -47,16 +27,17 @@ std::vector<ThresholdAnswer> QualificationBounds(
   // right (left) end under-(over-)estimates every cell contribution.
   out.reserve(c);
   for (size_t i = 0; i < c; ++i) {
+    const double* fi = &cdf[i * row];
     double lower = 0.0, upper = 0.0;
-    for (int k = 0; k < m; ++k) {
-      const double df =
-          cdf[i][static_cast<size_t>(k) + 1] - cdf[i][static_cast<size_t>(k)];
+    for (size_t k = 0; k + 1 < row; ++k) {
+      const double df = fi[k + 1] - fi[k];
       if (df <= 0.0) continue;
       double s_left = 1.0, s_right = 1.0;
       for (size_t j = 0; j < c; ++j) {
         if (j == i) continue;
-        s_left *= (1.0 - cdf[j][static_cast<size_t>(k)]);
-        s_right *= (1.0 - cdf[j][static_cast<size_t>(k) + 1]);
+        const double* fj = &cdf[j * row];
+        s_left *= (1.0 - fj[k]);
+        s_right *= (1.0 - fj[k + 1]);
       }
       lower += df * s_right;
       upper += df * s_left;

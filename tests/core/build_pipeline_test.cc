@@ -1,34 +1,37 @@
-// Parallel-vs-serial determinism of the staged build pipeline: for every
-// BuildMethod, build_threads = 1 and build_threads = N must produce a
-// byte-identical UV-index (structure, leaf tuples, page layout), identical
-// non-timing BuildStats, identical Stats ticker totals, and identical PNN
-// answers. Also covers the queue/abort machinery.
+// Determinism of the staged build pipeline: for every BuildMethod, both
+// stage-1 traversal modes and build_threads in {1, 2, 4, 8},
+// RunBuildPipeline must produce a UV-index byte-identical (structure, leaf
+// tuples, page layout) to the InsertObject-per-object oracle
+// (insert_object_oracle.h), with identical non-timing BuildStats,
+// identical Stats ticker totals (all of them under kPerAnchor, all but the
+// traversal-effort ones under kShared) and identical PNN answers. Also
+// covers error propagation out of the worker fan-out.
 #include "core/build_pipeline.h"
 
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <string>
+#include <tuple>
 
 #include "common/random.h"
 #include "core/pnn.h"
 #include "core/uv_diagram.h"
 #include "datagen/generators.h"
+#include "insert_object_oracle.h"
 
 namespace uvd {
 namespace core {
 namespace {
 
-UVDiagram BuildDiagram(BuildMethod method, int threads, size_t n, uint64_t seed,
-                       Stats* stats, Stage2Mode stage2 = Stage2Mode::kAuto) {
+UVDiagram BuildDiagram(BuildMethod method, int threads, size_t n, uint64_t seed) {
   datagen::DatasetOptions opts;
   opts.count = n;
   opts.seed = seed;
   UVDiagramOptions options;
   options.method = method;
   options.build_threads = threads;
-  options.stage2 = stage2;
   auto diagram = UVDiagram::Build(datagen::GenerateUniform(opts),
-                                  datagen::DomainFor(opts), options, stats);
+                                  datagen::DomainFor(opts), options);
   UVD_CHECK(diagram.ok()) << diagram.status().ToString();
   return std::move(diagram).ValueOrDie();
 }
@@ -40,124 +43,111 @@ std::vector<uint8_t> Serialized(const UVDiagram& d) {
 }
 
 void ExpectSameNonTimingStats(const BuildStats& a, const BuildStats& b) {
-  // Accumulated by the in-order consumer in both modes, so the sums must
-  // match bit for bit — not just approximately.
+  // Accumulated in id order on every path, so the sums must match bit for
+  // bit — not just approximately.
   EXPECT_EQ(a.i_pruning_ratio, b.i_pruning_ratio);
   EXPECT_EQ(a.c_pruning_ratio, b.c_pruning_ratio);
   EXPECT_EQ(a.avg_cr_objects, b.avg_cr_objects);
   EXPECT_EQ(a.avg_r_objects, b.avg_r_objects);
 }
 
-void ExpectSameTickers(const Stats& a, const Stats& b) {
-  for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); ++i) {
-    const Ticker t = static_cast<Ticker>(i);
-    // Traversal WORK tickers are per-session state under the default
-    // TraversalMode::kShared — more workers means more sessions, each
-    // paying its own warm-up descents and leaf decodes — so they vary
-    // with the thread count by design (build_pipeline.h). Every
-    // decision-count ticker must still match exactly;
-    // traversal_mode_digest_test asserts full-ticker equality under the
-    // kPerAnchor oracle.
-    if (t == Ticker::kRtreeNodeVisits || t == Ticker::kRtreeLeafReads ||
-        t == Ticker::kLeafMemoHits || t == Ticker::kLeafMemoMisses ||
-        t == Ticker::kPageReads || t == Ticker::kBufferPoolHits ||
-        t == Ticker::kBufferPoolMisses) {
-      continue;  // leaf decodes reach the PageManager, so I/O counts too
-    }
-    EXPECT_EQ(a.Get(t), b.Get(t)) << TickerName(t);
-  }
+// Traversal WORK tickers are per-session state under TraversalMode::kShared
+// — more workers means more sessions, each paying its own warm-up descents
+// and leaf decodes (which reach the PageManager, so I/O counts too) — so
+// they vary with the worker count by design (build_pipeline.h). Every
+// decision-count ticker must still match exactly.
+bool IsTraversalEffortTicker(Ticker t) {
+  return t == Ticker::kRtreeNodeVisits || t == Ticker::kRtreeLeafReads ||
+         t == Ticker::kLeafMemoHits || t == Ticker::kLeafMemoMisses ||
+         t == Ticker::kPageReads || t == Ticker::kBufferPoolHits ||
+         t == Ticker::kBufferPoolMisses;
 }
 
-class BuildPipelineDeterminismTest : public ::testing::TestWithParam<BuildMethod> {};
+class BuildPipelineDeterminismTest
+    : public ::testing::TestWithParam<std::tuple<BuildMethod, rtree::TraversalMode>> {};
 
 TEST_P(BuildPipelineDeterminismTest, ParallelMatchesSerial) {
-  const BuildMethod method = GetParam();
+  const BuildMethod method = std::get<0>(GetParam());
+  const rtree::TraversalMode traversal = std::get<1>(GetParam());
   // Basic is O(n) envelope insertions per object; keep it small.
   const size_t n = method == BuildMethod::kBasic ? 250 : 700;
-  const uint64_t seed = 23;
-
-  // The in-order mode is the one whose contract covers EVERY ticker
-  // (stage 2 replays the serial scan order exactly); the partitioned
-  // mode's digest + ticker-subset contract is covered by
-  // stage2_partition_test.
-  Stats serial_stats;
-  Stats parallel_stats;
-  const UVDiagram serial = BuildDiagram(method, 1, n, seed, &serial_stats);
-  const UVDiagram parallel =
-      BuildDiagram(method, 4, n, seed, &parallel_stats, Stage2Mode::kInOrder);
-
-  // Byte-identical index: same quad-tree, same leaf tuples, same pages.
-  EXPECT_EQ(Serialized(serial), Serialized(parallel));
-  EXPECT_EQ(serial.index().num_nonleaf(), parallel.index().num_nonleaf());
-  EXPECT_EQ(serial.index().total_leaf_pages(), parallel.index().total_leaf_pages());
-
-  ExpectSameNonTimingStats(serial.build_stats(), parallel.build_stats());
-  ExpectSameTickers(serial_stats, parallel_stats);
-
-  // Identical PNN answers, probabilities included.
-  Rng rng(5);
-  for (int t = 0; t < 25; ++t) {
-    const geom::Point q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-    const auto a = serial.QueryPnn(q).ValueOrDie();
-    const auto b = parallel.QueryPnn(q).ValueOrDie();
-    ASSERT_EQ(a.size(), b.size()) << "t=" << t;
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].id, b[k].id) << "t=" << t;
-      EXPECT_EQ(a[k].probability, b[k].probability) << "t=" << t;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllMethods, BuildPipelineDeterminismTest,
-                         ::testing::Values(BuildMethod::kBasic, BuildMethod::kICR,
-                                           BuildMethod::kIC),
-                         [](const ::testing::TestParamInfo<BuildMethod>& info) {
-                           return BuildMethodName(info.param);
-                         });
-
-TEST(BuildPipelineTest, DefaultThreadsMatchesSerial) {
-  // build_threads = 0 (hardware concurrency, whatever it is here) must
-  // also reproduce the serial index.
-  const UVDiagram serial = BuildDiagram(BuildMethod::kIC, 1, 500, 31, nullptr);
-  const UVDiagram parallel = BuildDiagram(BuildMethod::kIC, 0, 500, 31, nullptr);
-  EXPECT_EQ(Serialized(serial), Serialized(parallel));
-}
-
-TEST(BuildPipelineTest, TinyQueueWindowIsClampedAndDeterministic) {
   datagen::DatasetOptions opts;
-  opts.count = 400;
-  opts.seed = 37;
+  opts.count = n;
+  opts.seed = 23;
   const auto objects = datagen::GenerateUniform(opts);
   const geom::Box domain = datagen::DomainFor(opts);
 
-  auto build = [&](int threads, int window, std::vector<uint8_t>* bytes) {
-    Stats stats;
-    storage::PageManager pm(4096, &stats);
-    uncertain::ObjectStore store(&pm);
-    std::vector<uncertain::ObjectPtr> ptrs;
-    UVD_CHECK_OK(store.BulkLoad(objects, &ptrs));
-    auto tree = rtree::RTree::BulkLoad(objects, ptrs, &pm, {100}, &stats).ValueOrDie();
-    UVIndex index(domain, &pm, {}, &stats);
-    BuildPipelineOptions options;
-    options.method = BuildMethod::kIC;
-    options.build_threads = threads;
-    options.stage2 = Stage2Mode::kInOrder;  // the mode with a queue to clamp
-    options.queue_window = window;  // below the worker count: clamped
-    UVD_CHECK_OK(
-        RunBuildPipeline(objects, ptrs, tree, domain, options, &index, nullptr, &stats));
-    UVD_CHECK_OK(index.SerializeStructure(bytes));
-  };
+  BuildPipelineOptions options;
+  options.method = method;
+  options.traversal_mode = traversal;
+  options.build_threads = 1;
 
-  std::vector<uint8_t> serial, parallel;
-  build(1, 0, &serial);
-  build(8, 1, &parallel);
-  EXPECT_EQ(serial, parallel);
+  Stats oracle_stats;
+  BuildStats oracle_build;
+  oracle::BuildFixture reference(objects, domain, &oracle_stats);
+  reference.InsertEachObject(options, &oracle_stats, &oracle_build);
+  const std::vector<uint8_t> oracle_bytes = reference.Serialized();
+  // The answer checks below bill query reads to oracle_stats; compare the
+  // build's tickers against this snapshot.
+  const Stats oracle_tickers(oracle_stats);
+  const auto oracle_leaves = oracle::LeafTupleIds(*reference.index);
+
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Stats stats;
+    BuildStats build;
+    oracle::BuildFixture f(objects, domain, &stats);
+    options.build_threads = threads;
+    UVD_CHECK_OK(
+        RunBuildPipeline(objects, f.ptrs, *f.tree, domain, options, &*f.index, &build,
+                         &stats));
+
+    // Byte-identical index: same quad-tree, same page layout.
+    EXPECT_EQ(oracle_bytes, f.Serialized());
+    ExpectSameNonTimingStats(oracle_build, build);
+    for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); ++i) {
+      const Ticker t = static_cast<Ticker>(i);
+      if (traversal == rtree::TraversalMode::kShared && IsTraversalEffortTicker(t)) {
+        continue;
+      }
+      EXPECT_EQ(oracle_tickers.Get(t), stats.Get(t)) << TickerName(t);
+    }
+    // Same tuples in every leaf; read after the tickers, which the reads bill.
+    EXPECT_EQ(oracle_leaves, oracle::LeafTupleIds(*f.index));
+
+    Rng rng(5);
+    for (int q = 0; q < 25; ++q) {
+      const geom::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
+      EXPECT_EQ(RetrievePnnAnswerIds(*reference.index, p).ValueOrDie(),
+                RetrievePnnAnswerIds(*f.index, p).ValueOrDie())
+          << "q=" << q;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, BuildPipelineDeterminismTest,
+    ::testing::Combine(::testing::Values(BuildMethod::kBasic, BuildMethod::kICR,
+                                         BuildMethod::kIC),
+                       ::testing::Values(rtree::TraversalMode::kPerAnchor,
+                                         rtree::TraversalMode::kShared)),
+    [](const ::testing::TestParamInfo<BuildPipelineDeterminismTest::ParamType>& info) {
+      return std::string(BuildMethodName(std::get<0>(info.param))) + "_" +
+             rtree::TraversalModeName(std::get<1>(info.param));
+    });
+
+TEST(BuildPipelineTest, DefaultThreadsMatchesSerial) {
+  // build_threads = 0 (hardware concurrency, whatever it is here) must
+  // also reproduce the single-thread index.
+  const UVDiagram serial = BuildDiagram(BuildMethod::kIC, 1, 500, 31);
+  const UVDiagram parallel = BuildDiagram(BuildMethod::kIC, 0, 500, 31);
+  EXPECT_EQ(Serialized(serial), Serialized(parallel));
 }
 
 TEST(BuildPipelineTest, InsertionErrorAbortsCleanly) {
   // An object whose center lies outside the *index* domain makes stage-2
-  // insertion fail mid-stream; the pipeline must propagate the error and
-  // shut its workers down without hanging.
+  // insertion fail; the pipeline must propagate the error and shut its
+  // workers down without hanging.
   datagen::DatasetOptions opts;
   opts.count = 120;
   opts.seed = 41;

@@ -1,6 +1,6 @@
 // Tests for the Basic / ICR / IC construction methods: all three must
 // produce indexes that answer identically; stats decompositions populated.
-#include "core/builder.h"
+#include "core/build_pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,14 @@
 namespace uvd {
 namespace core {
 namespace {
+
+/// The pipeline on one thread, as every test here builds.
+BuildPipelineOptions SerialOptions(BuildMethod method) {
+  BuildPipelineOptions options;
+  options.method = method;
+  options.build_threads = 1;
+  return options;
+}
 
 struct Built {
   Stats stats;
@@ -39,8 +47,8 @@ Built BuildWith(BuildMethod method, size_t n, uint64_t seed) {
       rtree::RTree::BulkLoad(b.objects, b.ptrs, b.pm.get(), {100}, &b.stats)
           .ValueOrDie());
   b.index.emplace(domain, b.pm.get(), UVIndexOptions{}, &b.stats);
-  UVD_CHECK_OK(BuildUvIndex(b.objects, b.ptrs, *b.tree, domain, method, {}, &*b.index,
-                            &b.build_stats, &b.stats));
+  UVD_CHECK_OK(RunBuildPipeline(b.objects, b.ptrs, *b.tree, domain, SerialOptions(method),
+                                &*b.index, &b.build_stats, &b.stats));
   return b;
 }
 
@@ -104,8 +112,9 @@ TEST(BuilderTest, RejectsMismatchedInput) {
   Built b = BuildWith(BuildMethod::kIC, 10, 17);
   UVIndex fresh(geom::Box({0, 0}, {10000, 10000}), b.pm.get(), {}, &b.stats);
   std::vector<uncertain::ObjectPtr> short_ptrs(b.ptrs.begin(), b.ptrs.end() - 1);
-  EXPECT_FALSE(BuildUvIndex(b.objects, short_ptrs, *b.tree, b.index->domain(),
-                            BuildMethod::kIC, {}, &fresh, nullptr, &b.stats)
+  EXPECT_FALSE(RunBuildPipeline(b.objects, short_ptrs, *b.tree, b.index->domain(),
+                                SerialOptions(BuildMethod::kIC), &fresh, nullptr,
+                                &b.stats)
                    .ok());
 }
 

@@ -1,7 +1,8 @@
 // Determinism contract of the domain-partitioned parallel stage 2: for
 // every tested thread count, frontier depth and dataset shape (uniform and
-// the Fig. 7(g) skewed Gaussian clouds), the serialized UV-index from
-// Stage2Mode::kPartitioned must be BITWISE-identical to the serial build —
+// the Fig. 7(g) skewed Gaussian clouds), the serialized UV-index must be
+// BITWISE-identical to the InsertObject-per-object oracle
+// (insert_object_oracle.h) —
 // structure, leaf tuples and page layout — and EVERY Stats ticker must
 // match exactly, the pruner-scan-order pair (kHyperbolaTests /
 // kFourPointTests) included: residency hints live per (leaf, member)
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "core/build_pipeline.h"
 #include "core/uv_diagram.h"
 #include "datagen/generators.h"
+#include "insert_object_oracle.h"
 #include "query/query_engine.h"
 #include "query/result_digest.h"
 #include "shard/shard_router.h"
@@ -90,11 +94,14 @@ TEST_P(PartitionedDeterminismTest, MatchesSerialAcrossThreadsAndDepths) {
   const size_t n = 700;
   const uint64_t seed = 23;
 
-  UVDiagramOptions serial_options;
-  serial_options.build_threads = 1;
-  const UVDiagram serial = BuildWith(sc.shape, n, seed, sc.sigma, serial_options);
-  const std::vector<uint8_t> serial_bytes = Serialized(serial);
-  const uint64_t serial_digest = PnnDigest(serial, 1, 7);
+  const auto objects = MakeObjects(sc.shape, n, seed, sc.sigma);
+  oracle::BuildFixture reference(objects, Domain(n, seed), nullptr);
+  reference.InsertEachObject(BuildPipelineOptions{}, nullptr, nullptr);
+  const std::vector<uint8_t> oracle_bytes = reference.Serialized();
+  const auto oracle_leaves = oracle::LeafTupleIds(*reference.index);
+  // Answers are compared against the first build, whose bytes match the
+  // oracle's like every other build's.
+  std::optional<uint64_t> reference_digest;
 
   for (int threads : {1, 2, 4, 8}) {
     for (int depth : {1, 2, 3}) {
@@ -102,15 +109,17 @@ TEST_P(PartitionedDeterminismTest, MatchesSerialAcrossThreadsAndDepths) {
                    " depth=" + std::to_string(depth));
       UVDiagramOptions options;
       options.build_threads = threads;
-      options.stage2 = Stage2Mode::kPartitioned;
       options.stage2_max_depth = depth;
       const UVDiagram partitioned = BuildWith(sc.shape, n, seed, sc.sigma, options);
       // Byte-identical index: same quad-tree, same leaf tuples, same pages.
-      EXPECT_EQ(serial_bytes, Serialized(partitioned));
-      EXPECT_EQ(serial.index().num_nonleaf(), partitioned.index().num_nonleaf());
-      EXPECT_EQ(serial.index().total_leaf_pages(),
+      EXPECT_EQ(oracle_bytes, Serialized(partitioned));
+      EXPECT_EQ(oracle_leaves, oracle::LeafTupleIds(partitioned.index()));
+      EXPECT_EQ(reference.index->num_nonleaf(), partitioned.index().num_nonleaf());
+      EXPECT_EQ(reference.index->total_leaf_pages(),
                 partitioned.index().total_leaf_pages());
-      EXPECT_EQ(serial_digest, PnnDigest(partitioned, threads, 7));
+      const uint64_t digest = PnnDigest(partitioned, threads, 7);
+      if (!reference_digest) reference_digest = digest;
+      EXPECT_EQ(*reference_digest, digest);
     }
   }
 }
@@ -132,7 +141,6 @@ TEST(Stage2PartitionTest, IcrPartitionedMatchesSerial) {
   const UVDiagram serial = BuildWith(Shape::kUniform, n, 31, 0.0, serial_options);
   UVDiagramOptions options = serial_options;
   options.build_threads = 4;
-  options.stage2 = Stage2Mode::kPartitioned;
   const UVDiagram partitioned = BuildWith(Shape::kUniform, n, 31, 0.0, options);
   EXPECT_EQ(Serialized(serial), Serialized(partitioned));
 }
@@ -153,7 +161,6 @@ TEST(Stage2PartitionTest, EveryTickerMatchesSerial) {
   BuildWith(Shape::kUniform, n, 23, 0.0, serial_options, &serial_stats);
   UVDiagramOptions options;
   options.build_threads = 4;
-  options.stage2 = Stage2Mode::kPartitioned;
   options.traversal_mode = rtree::TraversalMode::kPerAnchor;
   BuildWith(Shape::kUniform, n, 23, 0.0, options, &partitioned_stats);
   for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); ++i) {

@@ -7,7 +7,7 @@
 #include <optional>
 
 #include "common/random.h"
-#include "core/builder.h"
+#include "core/build_pipeline.h"
 #include "core/pattern_queries.h"
 #include "core/pnn.h"
 #include "datagen/generators.h"
@@ -36,8 +36,10 @@ struct Fixture {
     UVD_CHECK_OK(store.BulkLoad(objects, &ptrs));
     tree.emplace(rtree::RTree::BulkLoad(objects, ptrs, &pm, {100}, &stats).ValueOrDie());
     index.emplace(domain, &pm, UVIndexOptions{}, &stats);
-    UVD_CHECK_OK(BuildUvIndex(objects, ptrs, *tree, domain, BuildMethod::kIC,
-                              {}, &*index, nullptr, &stats));
+    BuildPipelineOptions options;
+    options.build_threads = 1;
+    UVD_CHECK_OK(RunBuildPipeline(objects, ptrs, *tree, domain, options, &*index,
+                                  nullptr, &stats));
   }
 };
 

@@ -9,13 +9,21 @@
 #include <optional>
 
 #include "common/random.h"
-#include "core/builder.h"
+#include "core/build_pipeline.h"
 #include "core/pnn.h"
 #include "datagen/generators.h"
 
 namespace uvd {
 namespace core {
 namespace {
+
+/// The pipeline on one thread, as every test here builds.
+BuildPipelineOptions SerialOptions(BuildMethod method) {
+  BuildPipelineOptions options;
+  options.method = method;
+  options.build_threads = 1;
+  return options;
+}
 
 struct Fixture {
   Stats stats;
@@ -40,8 +48,8 @@ struct Fixture {
     UVD_CHECK_OK(store.BulkLoad(objects, &ptrs));
     tree.emplace(rtree::RTree::BulkLoad(objects, ptrs, &pm, {100}, &stats).ValueOrDie());
     index.emplace(domain, &pm, idx_opts, &stats);
-    UVD_CHECK_OK(BuildUvIndex(objects, ptrs, *tree, domain, method, {}, &*index,
-                              nullptr, &stats));
+    UVD_CHECK_OK(RunBuildPipeline(objects, ptrs, *tree, domain, SerialOptions(method),
+                                  &*index, nullptr, &stats));
   }
 
   std::vector<int> BruteAnswers(const geom::Point& q) const {
@@ -311,8 +319,8 @@ TEST(UvIndexTest, DuplicateCentersHandled) {
       rtree::RTree::BulkLoad(objs, ptrs, &pm, {100}, &stats).ValueOrDie();
   const geom::Box domain({0, 0}, {10000, 10000});
   UVIndex index(domain, &pm, {}, &stats);
-  ASSERT_TRUE(BuildUvIndex(objs, ptrs, tree, domain, BuildMethod::kIC, {}, &index,
-                           nullptr, &stats)
+  ASSERT_TRUE(RunBuildPipeline(objs, ptrs, tree, domain, SerialOptions(BuildMethod::kIC),
+                               &index, nullptr, &stats)
                   .ok());
   // All five stacked objects answer at their shared center.
   const auto ids = RetrievePnnAnswerIds(index, {5000, 5000}).ValueOrDie();

@@ -6,7 +6,7 @@
 #include <optional>
 
 #include "common/random.h"
-#include "core/builder.h"
+#include "core/build_pipeline.h"
 #include "core/pnn.h"
 #include "datagen/generators.h"
 #include "rtree/pnn_baseline.h"
@@ -34,9 +34,10 @@ struct Fixture {
     UVD_CHECK_OK(store.BulkLoad(objects, &ptrs));
     tree.emplace(rtree::RTree::BulkLoad(objects, ptrs, &pm, {100}, &stats).ValueOrDie());
     index.emplace(domain, &pm, core::UVIndexOptions{}, &stats);
-    UVD_CHECK_OK(core::BuildUvIndex(objects, ptrs, *tree, domain,
-                                    core::BuildMethod::kIC, {}, &*index, nullptr,
-                                    &stats));
+    core::BuildPipelineOptions options;
+    options.build_threads = 1;
+    UVD_CHECK_OK(core::RunBuildPipeline(objects, ptrs, *tree, domain, options, &*index,
+                                        nullptr, &stats));
   }
 };
 
