@@ -1,6 +1,6 @@
-// Public facade of the library: owns the dataset, the simulated disk, the
-// object store, the R-tree (pruning driver and PNN baseline) and the
-// UV-index, and exposes the paper's queries.
+// Public facade of the library: owns the dataset, the R-tree (pruning
+// driver and PNN baseline) and one core::IndexUnit — the disk, object store
+// and UV-index — and exposes the paper's queries.
 //
 // Quickstart:
 //   auto diagram = core::UVDiagram::Build(objects, domain).ValueOrDie();
@@ -17,6 +17,7 @@
 #include "common/stats.h"
 #include "common/thread_annotations.h"
 #include "core/build_pipeline.h"
+#include "core/index_unit.h"
 #include "core/pattern_queries.h"
 #include "core/pnn.h"
 #include "core/uv_index.h"
@@ -66,9 +67,12 @@ struct UVDiagramOptions {
   /// Buffer pool capacity in pages for the file-backed store (ignored
   /// without storage_path). 0 disables the pool: every read hits the file.
   size_t buffer_pool_pages = 0;
-  /// Protected-segment fraction of the pool (see BufferPoolOptions).
-  double buffer_pool_protected_fraction = 0.8;
 };
+
+/// The input contract of every Build: at least one object, ids 0..n-1 in
+/// order, every center inside `domain`. InvalidArgument otherwise.
+Status ValidateBuildInput(const std::vector<uncertain::UncertainObject>& objects,
+                          const geom::Box& domain);
 
 /// \brief An indexed UV-diagram over a set of uncertain objects.
 class UVDiagram {
@@ -89,15 +93,15 @@ class UVDiagram {
   /// The R-tree is NOT rebuilt eagerly; the first R-tree-path call
   /// (QueryPnnWithRtree / rtree()) reconstructs it from the reloaded
   /// objects. Failure codes are the storage layer's typed ones: a damaged
-  /// file yields Corruption (etc.), never a silently wrong diagram.
+  /// file yields Corruption (etc.), never a silently wrong diagram; a
+  /// shard file of a ShardedUVDiagram yields InvalidArgument.
   static Result<UVDiagram> Open(const std::string& path,
                                 const Options& options = {},
                                 Stats* stats = nullptr);
 
   /// Durability point for a file-backed diagram (InvalidArgument without
-  /// storage_path): saves the UV-index structure and the store/domain
-  /// manifest into pages, points the file's bootstrap at them, and
-  /// checkpoints the file. Open() recovers exactly this state.
+  /// storage_path): IndexUnit::Checkpoint with an empty header. Open()
+  /// recovers exactly this state.
   Status Checkpoint();
 
   /// Checkpoint + close the backing file. The diagram must not be used
@@ -105,10 +109,10 @@ class UVDiagram {
   Status CloseStorage();
 
   /// True when this diagram is backed by a paged file.
-  bool persistent() const { return fpm_ != nullptr; }
+  bool persistent() const { return unit_.fpm != nullptr; }
   /// The file-backed manager, or nullptr for in-RAM diagrams (metrics
   /// registration, crash harnesses).
-  storage::FilePageManager* file_page_manager() { return fpm_; }
+  storage::FilePageManager* file_page_manager() { return unit_.fpm; }
 
   /// Incremental insertion (paper Sec. VII future work): derives the new
   /// object's cr-objects against the current population and appends it to
@@ -135,22 +139,24 @@ class UVDiagram {
   Result<UvCellSummary> QueryUvCellSummary(int object_id) const;
 
   const std::vector<uncertain::UncertainObject>& objects() const { return objects_; }
-  const geom::Box& domain() const { return domain_; }
-  const UVIndex& index() const { return *index_; }
+  const geom::Box& domain() const { return unit_.box; }
+  const UVIndex& index() const { return *unit_.index; }
   const rtree::RTree& rtree() const {
     RefreshRtreeIfStale();
     return *rtree_;
   }
-  const uncertain::ObjectStore& store() const { return *store_; }
+  const uncertain::ObjectStore& store() const { return *unit_.store; }
   const BuildStats& build_stats() const { return build_stats_; }
   Stats& stats() const { return *stats_; }
   const Options& options() const { return options_; }
   /// The diagram's backing store — exposed so observability surfaces can
   /// register its page-read latency histogram.
-  const storage::PageManager& page_manager() const { return *pm_; }
+  const storage::PageManager& page_manager() const { return *unit_.pm; }
 
  private:
-  UVDiagram() = default;
+  /// Aligns the kernel sub-options and adopts `stats` (an owned Stats when
+  /// null); Build and Open fill in the rest.
+  UVDiagram(const Options& options, Stats* stats);
 
   /// Rebuilds the R-tree if live inserts made it stale. The staleness
   /// check and the rebuild run under rtree_mu_, so concurrent R-tree-path
@@ -163,15 +169,11 @@ class UVDiagram {
   void RefreshRtreeIfStale() const;
 
   std::vector<uncertain::UncertainObject> objects_;
-  geom::Box domain_;
   Options options_;
   Stats* stats_ = nullptr;                 // external or owned_stats_.get()
   std::unique_ptr<Stats> owned_stats_;
-  std::unique_ptr<storage::PageManager> pm_;
-  /// pm_ downcast when storage_path is configured; null for in-RAM.
-  storage::FilePageManager* fpm_ = nullptr;
-  std::unique_ptr<uncertain::ObjectStore> store_;
-  std::vector<uncertain::ObjectPtr> ptrs_;
+  /// Storage, object store and UV-index; unit_.box is the domain.
+  IndexUnit unit_;
   mutable std::unique_ptr<rtree::RTree> rtree_;
   /// Guards rtree_stale_ and the lazy rebuild of *rtree_. A unique_ptr so
   /// UVDiagram stays movable (Result<UVDiagram> returns by value); the
@@ -183,7 +185,6 @@ class UVDiagram {
   /// the annotation.
   mutable std::unique_ptr<Mutex> rtree_mu_ = std::make_unique<Mutex>();
   mutable bool rtree_stale_ UVD_GUARDED_BY(*rtree_mu_) = false;
-  std::unique_ptr<UVIndex> index_;
   BuildStats build_stats_;
 };
 

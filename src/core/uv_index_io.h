@@ -21,7 +21,7 @@ struct SavedIndexHandle {
 
 /// Chunks an arbitrary byte stream into freshly allocated pages and
 /// returns its locator (the last page is zero-padded). Shared by the
-/// index saver below and the diagram manifest (core/uv_diagram.cc).
+/// index saver below and the index-unit manifest (core/index_unit.cc).
 Result<SavedIndexHandle> WriteStreamToPages(const std::vector<uint8_t>& stream,
                                             storage::PageManager* pm);
 

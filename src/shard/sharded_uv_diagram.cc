@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -13,7 +14,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/uv_index_io.h"
 #include "rtree/rtree.h"
 #include "storage/record.h"
 
@@ -42,15 +42,6 @@ void Bisect(const geom::Box& box, int k, std::vector<geom::Box>* out) {
     Bisect(geom::Box({box.lo.x, cut}, box.hi), k - kl, out);
   }
 }
-
-// Per-shard paged-file manifest (see ShardedUVDiagram::Checkpoint): each
-// shard file is self-describing — it knows its index in the fleet, the
-// fleet size, the global domain and object count — so Open can bootstrap
-// the whole deployment from shard 0 and cross-check every other file.
-constexpr uint32_t kShardBootstrapMagic = 0x55565342;   // "UVSB"
-constexpr uint32_t kShardBootstrapVersion = 1;
-constexpr uint32_t kShardManifestMagic = 0x5556534D;    // "UVSM"
-constexpr uint32_t kShardManifestVersion = 1;
 
 /// Clamped half-open ownership along one axis: [lo, hi), closed at hi only
 /// where hi is the domain's own max edge (no upper neighbor exists there).
@@ -304,35 +295,49 @@ std::vector<ObjectExtent> PredictObjectExtents(
   return extents;
 }
 
+// A shard's IndexUnit header: its place in the fleet, so every shard file
+// is self-describing and Open can bootstrap the deployment from shard 0 and
+// cross-check the rest. Layout: shard index, fleet size, object count,
+// global domain (4 doubles), registered id count, registered ids.
+constexpr size_t kShardHeaderPrefixBytes = 4 * sizeof(uint32_t) + 4 * sizeof(double);
+
+std::vector<uint8_t> EncodeShardHeader(size_t s, size_t fleet_size, size_t object_count,
+                                       const geom::Box& domain,
+                                       const std::vector<int>& object_ids) {
+  std::vector<uint8_t> header;
+  storage::Encoder enc(&header);
+  enc.PutU32(static_cast<uint32_t>(s));
+  enc.PutU32(static_cast<uint32_t>(fleet_size));
+  enc.PutU32(static_cast<uint32_t>(object_count));
+  enc.PutDouble(domain.lo.x);
+  enc.PutDouble(domain.lo.y);
+  enc.PutDouble(domain.hi.x);
+  enc.PutDouble(domain.hi.y);
+  enc.PutU32(static_cast<uint32_t>(object_ids.size()));
+  for (int id : object_ids) enc.PutI32(id);
+  return header;
+}
+
 }  // namespace
+
+ShardedUVDiagram::ShardedUVDiagram(const ShardedUVDiagramOptions& options, Stats* stats)
+    : options_(options), stats_(stats) {
+  if (stats_ == nullptr) {
+    owned_stats_ = std::make_unique<Stats>();
+    stats_ = owned_stats_.get();
+  }
+}
 
 Result<ShardedUVDiagram> ShardedUVDiagram::Build(
     std::vector<uncertain::UncertainObject> objects, const geom::Box& domain,
     const ShardedUVDiagramOptions& options, Stats* stats) {
-  if (objects.empty()) {
-    return Status::InvalidArgument("cannot build a UV-diagram over zero objects");
-  }
-  for (size_t i = 0; i < objects.size(); ++i) {
-    if (objects[i].id() != static_cast<int>(i)) {
-      return Status::InvalidArgument("objects must have ids 0..n-1 in order");
-    }
-    if (!domain.Contains(objects[i].center())) {
-      return Status::InvalidArgument("object center outside the domain");
-    }
-  }
+  UVD_RETURN_NOT_OK(core::ValidateBuildInput(objects, domain));
 
   Timer total_timer;
-  ShardedUVDiagram d;
+  ShardedUVDiagram d(options, stats);
   d.objects_ = std::move(objects);
   d.domain_ = domain;
-  d.options_ = options;
   d.options_.num_shards = std::max(1, options.num_shards);
-  if (stats != nullptr) {
-    d.stats_ = stats;
-  } else {
-    d.owned_stats_ = std::make_unique<Stats>();
-    d.stats_ = d.owned_stats_.get();
-  }
   const size_t n = d.objects_.size();
 
   // Global stage 1 against the full population: a scratch store + R-tree
@@ -393,25 +398,11 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
     Shard& sh = d.shards_[s];
     sh.box = boxes[s];
     sh.stats = std::make_unique<Stats>();
-    if (!d.options_.diagram.storage_path.empty()) {
-      storage::FilePageManagerOptions file_options;
-      file_options.buffer_pool_pages = d.options_.diagram.buffer_pool_pages;
-      file_options.buffer_pool_protected_fraction =
-          d.options_.diagram.buffer_pool_protected_fraction;
-      auto fpm = storage::FilePageManager::Create(
-          ShardFilePath(d.options_.diagram.storage_path, s),
-          d.options_.diagram.page_size, file_options, sh.stats.get());
-      if (!fpm.ok()) {
-        shard_status[s] = fpm.status();
-        return;
-      }
-      sh.fpm = fpm.value().get();
-      sh.pm = std::move(fpm).value();
-    } else {
-      sh.pm = std::make_unique<storage::PageManager>(d.options_.diagram.page_size,
-                                                     sh.stats.get());
-    }
-    sh.store = std::make_unique<uncertain::ObjectStore>(sh.pm.get());
+    const std::string& prefix = d.options_.diagram.storage_path;
+    shard_status[s] = sh.Create(prefix.empty() ? prefix : ShardFilePath(prefix, s),
+                                d.options_.diagram.page_size,
+                                d.options_.diagram.buffer_pool_pages, sh.stats.get());
+    if (!shard_status[s].ok()) return;
 
     // Border replication: every object whose cell may reach this sub-box,
     // in global id order (insertion order therefore matches the unsharded
@@ -486,48 +477,9 @@ std::string ShardedUVDiagram::ShardFilePath(const std::string& path_prefix,
 }
 
 Status ShardedUVDiagram::Checkpoint() {
-  if (!persistent()) {
-    return Status::InvalidArgument(
-        "Checkpoint requires a sharded diagram built with "
-        "options.diagram.storage_path");
-  }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = shards_[s];
-    UVD_ASSIGN_OR_RETURN(core::SavedIndexHandle index_handle,
-                         core::SaveUvIndex(*sh.index, sh.pm.get()));
-
-    std::vector<uint8_t> manifest;
-    storage::Encoder enc(&manifest);
-    enc.PutU32(kShardManifestMagic);
-    enc.PutU32(kShardManifestVersion);
-    enc.PutU32(static_cast<uint32_t>(s));
-    enc.PutU32(static_cast<uint32_t>(shards_.size()));
-    enc.PutU32(static_cast<uint32_t>(objects_.size()));
-    enc.PutDouble(domain_.lo.x);
-    enc.PutDouble(domain_.lo.y);
-    enc.PutDouble(domain_.hi.x);
-    enc.PutDouble(domain_.hi.y);
-    enc.PutDouble(sh.box.lo.x);
-    enc.PutDouble(sh.box.lo.y);
-    enc.PutDouble(sh.box.hi.x);
-    enc.PutDouble(sh.box.hi.y);
-    enc.PutU32(static_cast<uint32_t>(sh.object_ids.size()));
-    for (int id : sh.object_ids) enc.PutI32(id);
-    sh.store->EncodeState(&enc);
-    enc.PutU32(index_handle.first_page);
-    enc.PutU32(index_handle.page_count);
-    UVD_ASSIGN_OR_RETURN(core::SavedIndexHandle manifest_handle,
-                         core::WriteStreamToPages(manifest, sh.pm.get()));
-
-    std::vector<uint8_t> bootstrap;
-    storage::Encoder boot(&bootstrap);
-    boot.PutU32(kShardBootstrapMagic);
-    boot.PutU32(kShardBootstrapVersion);
-    boot.PutU32(manifest_handle.first_page);
-    boot.PutU32(manifest_handle.page_count);
-    boot.PutU32(static_cast<uint32_t>(manifest.size()));
-    UVD_RETURN_NOT_OK(sh.fpm->SetBootstrap(bootstrap));
-    UVD_RETURN_NOT_OK(sh.fpm->Checkpoint());
+    UVD_RETURN_NOT_OK(shards_[s].Checkpoint(EncodeShardHeader(
+        s, shards_.size(), objects_.size(), domain_, shards_[s].object_ids)));
   }
   return Status::OK();
 }
@@ -544,135 +496,78 @@ Status ShardedUVDiagram::CloseStorage() {
 Result<ShardedUVDiagram> ShardedUVDiagram::Open(
     const std::string& path_prefix, const ShardedUVDiagramOptions& options,
     Stats* stats) {
-  ShardedUVDiagram d;
-  d.options_ = options;
+  ShardedUVDiagram d(options, stats);
   d.options_.diagram.storage_path = path_prefix;
-  if (stats != nullptr) {
-    d.stats_ = stats;
-  } else {
-    d.owned_stats_ = std::make_unique<Stats>();
-    d.stats_ = d.owned_stats_.get();
-  }
 
+  // Shard 0's header names the fleet size and object count; nothing is
+  // sized from either, so a damaged count fails a check instead of an
+  // allocation.
   uint32_t num_shards = 0;
   uint32_t total_objects = 0;
-  // objects_[gid] filled from whichever shard store holds gid first;
-  // border replicas decode to identical records.
-  std::vector<bool> have_object;
   std::vector<uncertain::UncertainObject> merged;
-
   for (size_t s = 0; num_shards == 0 || s < num_shards; ++s) {
     Shard sh;
     sh.stats = std::make_unique<Stats>();
-    storage::FilePageManagerOptions file_options;
-    file_options.buffer_pool_pages = options.diagram.buffer_pool_pages;
-    file_options.buffer_pool_protected_fraction =
-        options.diagram.buffer_pool_protected_fraction;
-    auto fpm = storage::FilePageManager::Open(ShardFilePath(path_prefix, s),
-                                              file_options, sh.stats.get());
-    if (!fpm.ok()) return fpm.status();
-    sh.fpm = fpm.value().get();
-    sh.pm = std::move(fpm).value();
-
-    const std::vector<uint8_t>& bootstrap = sh.fpm->bootstrap();
-    if (bootstrap.size() < 20) {
-      return Status::Corruption("shard file carries no shard bootstrap");
+    std::vector<uint8_t> header;
+    std::vector<uncertain::UncertainObject> subset;
+    UVD_RETURN_NOT_OK(sh.Open(ShardFilePath(path_prefix, s),
+                              options.diagram.buffer_pool_pages, sh.stats.get(),
+                              &header, &subset));
+    if (header.empty()) {
+      return Status::InvalidArgument(
+          "paged file is an unsharded UV-diagram (use UVDiagram::Open)");
     }
-    storage::Decoder boot(bootstrap);
-    if (boot.GetU32() != kShardBootstrapMagic) {
-      return Status::InvalidArgument("paged file is not a UV-diagram shard");
+    if (header.size() < kShardHeaderPrefixBytes) {
+      return Status::Corruption("shard header truncated");
     }
-    if (boot.GetU32() > kShardBootstrapVersion) {
-      return Status::NotImplemented("shard bootstrap from a future version");
-    }
-    core::SavedIndexHandle manifest_handle;
-    manifest_handle.first_page = boot.GetU32();
-    manifest_handle.page_count = boot.GetU32();
-    const uint32_t manifest_bytes = boot.GetU32();
-
-    std::vector<uint8_t> manifest;
-    UVD_RETURN_NOT_OK(
-        core::ReadPagesToStream(*sh.pm, manifest_handle, &manifest));
-    if (manifest.size() < manifest_bytes || manifest_bytes < 8) {
-      return Status::Corruption("shard manifest truncated");
-    }
-    manifest.resize(manifest_bytes);
-    storage::Decoder dec(manifest);
-    if (dec.GetU32() != kShardManifestMagic) {
-      return Status::Corruption("shard manifest has a bad magic");
-    }
-    if (dec.GetU32() > kShardManifestVersion) {
-      return Status::NotImplemented("shard manifest from a future version");
-    }
+    storage::Decoder dec(header);
     const uint32_t shard_index = dec.GetU32();
     const uint32_t fleet_size = dec.GetU32();
     const uint32_t object_count = dec.GetU32();
-    if (shard_index != s || fleet_size == 0) {
-      return Status::Corruption("shard manifest names the wrong shard index");
-    }
     geom::Box file_domain;
     file_domain.lo.x = dec.GetDouble();
     file_domain.lo.y = dec.GetDouble();
     file_domain.hi.x = dec.GetDouble();
     file_domain.hi.y = dec.GetDouble();
+    const uint32_t registered = dec.GetU32();
+    if (dec.remaining() != static_cast<size_t>(registered) * sizeof(int32_t) ||
+        subset.size() != registered) {
+      return Status::Corruption("shard id count disagrees with its header or store");
+    }
+    if (shard_index != s || fleet_size == 0) {
+      return Status::Corruption("shard header names the wrong shard index");
+    }
     if (s == 0) {
       num_shards = fleet_size;
       total_objects = object_count;
       d.domain_ = file_domain;
-      d.shards_.reserve(num_shards);
-      have_object.assign(total_objects, false);
-      merged.reserve(total_objects);
     } else if (fleet_size != num_shards || object_count != total_objects) {
       return Status::Corruption(
           "shard files disagree about the fleet size (mixed checkpoints?)");
     }
-    sh.box.lo.x = dec.GetDouble();
-    sh.box.lo.y = dec.GetDouble();
-    sh.box.hi.x = dec.GetDouble();
-    sh.box.hi.y = dec.GetDouble();
-    const uint32_t registered = dec.GetU32();
     sh.object_ids.reserve(registered);
     for (uint32_t i = 0; i < registered; ++i) {
-      sh.object_ids.push_back(dec.GetI32());
-    }
-
-    sh.store = std::make_unique<uncertain::ObjectStore>(sh.pm.get());
-    UVD_RETURN_NOT_OK(sh.store->RestoreState(&dec));
-    std::vector<uncertain::UncertainObject> subset;
-    UVD_RETURN_NOT_OK(sh.store->LoadAll(&subset, &sh.ptrs));
-    if (subset.size() != sh.object_ids.size()) {
-      return Status::Corruption(
-          "shard store record count disagrees with its registered ids");
-    }
-
-    core::SavedIndexHandle index_handle;
-    index_handle.first_page = dec.GetU32();
-    index_handle.page_count = dec.GetU32();
-    UVD_ASSIGN_OR_RETURN(
-        core::UVIndex index,
-        core::LoadUvIndex(sh.pm.get(), index_handle, sh.stats.get()));
-    d.shards_.push_back(Shard{});
-    Shard& placed = d.shards_.back();
-    placed = std::move(sh);
-    placed.index = std::make_unique<core::UVIndex>(std::move(index));
-
-    for (size_t k = 0; k < subset.size(); ++k) {
-      const int gid = placed.object_ids[k];
-      if (gid < 0 || static_cast<uint32_t>(gid) >= total_objects) {
-        return Status::Corruption("shard manifest holds an out-of-range id");
+      const int gid = dec.GetI32();
+      if (gid < 0 || static_cast<uint32_t>(gid) >= total_objects ||
+          subset[i].id() != gid) {
+        return Status::Corruption("shard header holds an out-of-range or mismatched id");
       }
-      if (!have_object[static_cast<size_t>(gid)]) {
-        have_object[static_cast<size_t>(gid)] = true;
-        merged.push_back(std::move(subset[k]));
-      }
+      sh.object_ids.push_back(gid);
     }
+    d.shards_.push_back(std::move(sh));
+    merged.insert(merged.end(), std::make_move_iterator(subset.begin()),
+                  std::make_move_iterator(subset.end()));
   }
 
   // Every object is registered with at least the shard owning its center,
-  // so the merge must cover 0..n-1; sort back into id order.
-  std::sort(merged.begin(), merged.end(),
-            [](const uncertain::UncertainObject& a,
-               const uncertain::UncertainObject& b) { return a.id() < b.id(); });
+  // so the merge must cover 0..n-1. Border replicas decode to identical
+  // records; keep the first shard's copy of each id.
+  const auto id_less = [](const uncertain::UncertainObject& a,
+                          const uncertain::UncertainObject& b) { return a.id() < b.id(); };
+  std::stable_sort(merged.begin(), merged.end(), id_less);
+  merged.erase(std::unique(merged.begin(), merged.end(),
+                           [&](const auto& a, const auto& b) { return !id_less(a, b); }),
+               merged.end());
   if (merged.size() != total_objects) {
     return Status::Corruption("shard stores do not cover every object id");
   }

@@ -1,9 +1,10 @@
 // Sharded UV-index serving (ROADMAP "Sharded index serving"): the domain is
-// partitioned into K sub-boxes, each backed by its own UV-index, object
-// store and simulated disk, so a deployment can spread one diagram's leaf
-// pages and pdf records across several stores and build them in parallel —
-// the per-subdomain build/merge split of divide-and-conquer Voronoi
-// construction (arXiv:0906.2760), extended to uncertain data.
+// partitioned into K sub-boxes, each backed by its own core::IndexUnit
+// (UV-index, object store and disk), so a deployment can spread one
+// diagram's leaf pages and pdf records across several stores and build
+// them in parallel — the per-subdomain build/merge split of
+// divide-and-conquer Voronoi construction (arXiv:0906.2760), extended to
+// uncertain data.
 //
 // Construction = one global stage 1, K independent stage 2s:
 //
@@ -69,6 +70,7 @@
 #include "common/result.h"
 #include "common/stats.h"
 #include "core/build_pipeline.h"
+#include "core/index_unit.h"
 #include "core/uv_diagram.h"
 #include "core/uv_index.h"
 #include "geom/box.h"
@@ -134,19 +136,13 @@ struct ShardedUVDiagramOptions {
 /// \brief K UV-indexes over a partitioned domain with border replication.
 class ShardedUVDiagram {
  public:
-  /// One sub-domain: its box, private storage, and UV-index. `object_ids`
-  /// are the GLOBAL ids registered here (ascending); `ptrs[k]` locates
+  /// One sub-domain: an IndexUnit over its box (private storage, object
+  /// store and UV-index) plus its private Stats. `object_ids` are the
+  /// GLOBAL ids registered here (ascending); `ptrs[k]` locates
   /// object_ids[k] in this shard's store.
-  struct Shard {
-    geom::Box box;
+  struct Shard : core::IndexUnit {
     std::unique_ptr<Stats> stats;  // billed by pm/store/index/engine view
-    std::unique_ptr<storage::PageManager> pm;
-    /// pm downcast when the diagram is file-backed; null for in-RAM.
-    storage::FilePageManager* fpm = nullptr;
-    std::unique_ptr<uncertain::ObjectStore> store;
-    std::vector<uncertain::ObjectPtr> ptrs;
     std::vector<int> object_ids;
-    std::unique_ptr<core::UVIndex> index;
   };
 
   /// Builds every shard. Objects must have ids 0..n-1 in order and centers
@@ -163,14 +159,16 @@ class ShardedUVDiagram {
   /// replicas re-read identically), every shard's UV-index is
   /// deserialized, and `options.diagram` pool/qualification knobs apply to
   /// serving. object_extents() is empty after a reopen (it is a build-time
-  /// artifact). Damaged files surface the storage layer's typed errors.
+  /// artifact). Damaged files surface the storage layer's typed errors;
+  /// an unsharded UVDiagram file yields InvalidArgument.
   static Result<ShardedUVDiagram> Open(const std::string& path_prefix,
                                        const ShardedUVDiagramOptions& options = {},
                                        Stats* stats = nullptr);
 
   /// Durability point for a file-backed sharded diagram: checkpoints every
-  /// shard's file with its manifest (box, registered ids, store directory,
-  /// index handle). InvalidArgument without a storage_path.
+  /// shard's IndexUnit with a header naming its place in the fleet (shard
+  /// index, fleet size, object count, global domain, registered ids).
+  /// InvalidArgument without a storage_path.
   Status Checkpoint();
 
   /// Checkpoint + close every shard file. The diagram must not be used
@@ -246,7 +244,9 @@ class ShardedUVDiagram {
   const core::BuildStats& build_stats() const { return build_stats_; }
 
  private:
-  ShardedUVDiagram() = default;
+  /// Adopts `stats` (an owned Stats when null); Build and Open fill in the
+  /// rest.
+  ShardedUVDiagram(const ShardedUVDiagramOptions& options, Stats* stats);
 
   std::vector<uncertain::UncertainObject> objects_;
   geom::Box domain_;

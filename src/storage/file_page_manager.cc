@@ -14,7 +14,6 @@ FilePageManager::FilePageManager(std::unique_ptr<PagedFile> file,
   if (options.buffer_pool_pages > 0) {
     BufferPoolOptions pool_options;
     pool_options.capacity_pages = options.buffer_pool_pages;
-    pool_options.protected_fraction = options.buffer_pool_protected_fraction;
     // The pool's miss path is the uncached file read, so kPageReads keeps
     // counting physical I/O only.
     pool_ = std::make_unique<BufferPool>(

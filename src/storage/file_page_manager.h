@@ -3,7 +3,7 @@
 // buffer pool in front. Point UVDiagramOptions::storage_path at a file
 // and the whole stack — ObjectStore records, R-tree leaves, UV-index
 // nodes — lands here instead of RAM; reopen the file later and serve the
-// index cold (core/uv_diagram.h Open, docs/STORAGE.md).
+// index cold (core/index_unit.h, docs/STORAGE.md).
 #ifndef UVD_STORAGE_FILE_PAGE_MANAGER_H_
 #define UVD_STORAGE_FILE_PAGE_MANAGER_H_
 
@@ -23,10 +23,9 @@ namespace storage {
 
 struct FilePageManagerOptions {
   /// Buffer pool capacity in pages. 0 disables the pool entirely (every
-  /// read goes to the file); nonzero bounds the resident set.
+  /// read goes to the file); nonzero bounds the resident set. The pool
+  /// keeps BufferPoolOptions' default protected fraction.
   size_t buffer_pool_pages = 0;
-  /// Protected-segment fraction of the pool (see BufferPoolOptions).
-  double buffer_pool_protected_fraction = 0.8;
 };
 
 /// \brief PageManager over a PagedFile, with an optional buffer pool.

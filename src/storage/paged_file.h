@@ -10,7 +10,7 @@
 // where frame_size = kPageFrameHeaderSize + page_size. The metapage holds
 // magic, format version, page size, the DURABLE page count, a small
 // bootstrap blob (the superblock root pointer: callers stash a manifest
-// locator there, see uv_diagram.cc), and a checksum over all of it — the
+// locator there, see core/index_unit.h), and a checksum over all of it — the
 // metapage/version/magic discipline of the PostgreSQL-style access methods
 // (SNIPPETS.md mtree). Every data page frame carries a checksum over
 // (page id || payload) plus the page id itself, so a torn write, a bit

@@ -117,18 +117,25 @@ void ObjectStore::EncodeState(storage::Encoder* enc) const {
 }
 
 Status ObjectStore::RestoreState(storage::Decoder* dec) {
+  if (dec->remaining() < 4 * sizeof(uint32_t)) {
+    return Status::Corruption("object store directory truncated");
+  }
   record_size_ = dec->GetU32();
   records_per_page_ = dec->GetU32();
   tail_count_ = dec->GetU32();
   const uint32_t num_pages = dec->GetU32();
-  data_pages_.clear();
-  data_pages_.reserve(num_pages);
-  for (uint32_t i = 0; i < num_pages; ++i) data_pages_.push_back(dec->GetU32());
-  if (!data_pages_.empty() &&
-      (record_size_ == 0 || records_per_page_ == 0 ||
+  if (num_pages > dec->remaining() / sizeof(uint32_t)) {
+    return Status::Corruption("object store directory declares more pages than it holds");
+  }
+  // LoadAll reads records_per_page_ records per page: BulkLoad's layout.
+  if (num_pages > 0 &&
+      (record_size_ < RecordSize(0) || records_per_page_ != pm_->page_size() / record_size_ ||
        tail_count_ > records_per_page_)) {
     return Status::Corruption("object store manifest state is inconsistent");
   }
+  data_pages_.clear();
+  data_pages_.reserve(num_pages);
+  for (uint32_t i = 0; i < num_pages; ++i) data_pages_.push_back(dec->GetU32());
   return Status::OK();
 }
 

@@ -39,12 +39,13 @@ class ObjectStore {
 
   /// Serializes the store's transient layout state (record size, page
   /// list, tail occupancy) — everything a fresh ObjectStore over the SAME
-  /// page manager needs to resume serving. Part of the diagram manifest
-  /// (core/uv_diagram.cc Checkpoint).
+  /// page manager needs to resume serving. Part of the index-unit manifest
+  /// (core/index_unit.cc Checkpoint).
   void EncodeState(storage::Encoder* enc) const;
 
   /// Restores state written by EncodeState. The pages themselves stay on
-  /// the page manager; this only rebuilds the in-RAM directory.
+  /// the page manager; this only rebuilds the in-RAM directory. A damaged
+  /// directory is Corruption.
   Status RestoreState(storage::Decoder* dec);
 
   /// Decodes every record back, in id order, with ptrs[i] for objects[i]

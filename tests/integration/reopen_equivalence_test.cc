@@ -4,8 +4,8 @@
 // in-RAM build it mirrors — same ids, same probability bits, same digest —
 // across build thread counts and shard counts, with and without a buffer
 // pool smaller than the working set. Also pins the typed-error contract:
-// opening a missing or non-diagram file yields a clean Status, never a
-// garbage diagram.
+// opening a missing, non-diagram, old-version or cross-kind (shard vs
+// diagram) file yields a clean Status, never a garbage diagram.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "shard/shard_router.h"
 #include "shard/sharded_uv_diagram.h"
 #include "storage/paged_file.h"
+#include "storage/record.h"
 
 namespace uvd {
 namespace {
@@ -210,6 +211,58 @@ TEST(ReopenEquivalenceTest, OpenRejectsMissingAndForeignFiles) {
   ASSERT_FALSE(foreign.ok());
   EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+
+  // A bootstrap of the old format version: NotImplemented, not a guess at
+  // its layout.
+  const std::string old_path = TempPath("version1");
+  std::remove(old_path.c_str());
+  {
+    auto file = storage::PagedFile::Create(old_path, 256).ValueOrDie();
+    std::vector<uint8_t> bootstrap;
+    storage::Encoder boot(&bootstrap);
+    boot.PutU32(core::kUnitBootstrapMagic);
+    for (uint32_t field : {1u, 0u, 0u, 0u}) boot.PutU32(field);  // version 1
+    UVD_CHECK_OK(file->SetBootstrap(bootstrap));
+    UVD_CHECK_OK(file->Close());
+  }
+  const auto old = core::UVDiagram::Open(old_path);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kNotImplemented);
+  std::remove(old_path.c_str());
+
+  // Cross-opens: a shard file is not a diagram, and a diagram file is not
+  // a shard — InvalidArgument both ways.
+  datagen::DatasetOptions data = DataOptions(60, 83);
+  const geom::Box domain = datagen::DomainFor(data);
+  const std::string prefix = TempPath("cross");
+  const std::string shard0 = shard::ShardedUVDiagram::ShardFilePath(prefix, 0);
+  RemoveShardFiles(prefix, 2);
+  {
+    shard::ShardedUVDiagramOptions options;
+    options.num_shards = 2;
+    options.diagram.storage_path = prefix;
+    auto built = shard::ShardedUVDiagram::Build(datagen::GenerateUniform(data),
+                                                domain, options)
+                     .ValueOrDie();
+    UVD_CHECK_OK(built.CloseStorage());
+  }
+  const auto shard_as_diagram = core::UVDiagram::Open(shard0);
+  ASSERT_FALSE(shard_as_diagram.ok());
+  EXPECT_EQ(shard_as_diagram.status().code(), StatusCode::kInvalidArgument);
+
+  RemoveShardFiles(prefix, 2);
+  {
+    core::UVDiagramOptions options;
+    options.storage_path = shard0;
+    auto built = core::UVDiagram::Build(datagen::GenerateUniform(data), domain,
+                                        options)
+                     .ValueOrDie();
+    UVD_CHECK_OK(built.CloseStorage());
+  }
+  const auto diagram_as_shard = shard::ShardedUVDiagram::Open(prefix);
+  ASSERT_FALSE(diagram_as_shard.ok());
+  EXPECT_EQ(diagram_as_shard.status().code(), StatusCode::kInvalidArgument);
+  RemoveShardFiles(prefix, 2);
 }
 
 }  // namespace

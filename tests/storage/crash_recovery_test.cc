@@ -7,9 +7,10 @@
 // bytes, bootstrap — or Open fails with a typed Corruption (only a torn
 // metapage can cause that). Never a silently wrong page. On top of the
 // file-level loop, diagram-level tests prove a crashed (re)checkpoint
-// leaves UVDiagram::Open serving the previous checkpoint's bitwise answer
-// digest, and direct bit-flip injection proves at-rest damage in any frame
-// region surfaces as Corruption at read time.
+// leaves UVDiagram::Open (and, for a K=2 fleet, ShardedUVDiagram::Open)
+// serving the previous checkpoint's bitwise answer digest, and direct
+// bit-flip injection proves at-rest damage in any frame region surfaces as
+// Corruption at read time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +26,8 @@
 #include "query/query_batch.h"
 #include "query/query_engine.h"
 #include "query/result_digest.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_uv_diagram.h"
 #include "storage/paged_file.h"
 
 namespace uvd {
@@ -307,6 +310,88 @@ TEST(CrashRecoveryTest, CrashedRecheckpointKeepsServingPreviousState) {
     }
   }
   std::remove(path.c_str());
+}
+
+uint64_t DigestSharded(const shard::ShardedUVDiagram& diagram,
+                       const query::QueryBatch& batch) {
+  shard::ShardRouter router(diagram);
+  return query::DigestPointAnswers(router.ExecuteBatch(batch));
+}
+
+// The same kill loop over every write of a K=2 ShardedUVDiagram::Checkpoint.
+// Writes are numbered across the fleet in checkpoint order (shard 0's, then
+// shard 1's); a kill in shard 1 leaves shard 0 at the NEW checkpoint and
+// shard 1 at the old one — both describe the same state, so the fleet must
+// still reopen to the same digest.
+TEST(CrashRecoveryTest, CrashedShardedRecheckpointKeepsServingPreviousState) {
+  constexpr size_t kShards = 2;
+  datagen::DatasetOptions data;
+  data.count = 120;
+  data.seed = 53;
+  const geom::Box domain = datagen::DomainFor(data);
+  const auto batch = ProbeBatch(domain, 59);
+
+  const std::string prefix = TempPath("sharded");
+  const auto shard_path = [&prefix](size_t s) {
+    return shard::ShardedUVDiagram::ShardFilePath(prefix, s);
+  };
+  shard::ShardedUVDiagramOptions options;
+  options.num_shards = static_cast<int>(kShards);
+  options.diagram.storage_path = prefix;
+  uint64_t want = 0;
+  {
+    auto built = shard::ShardedUVDiagram::Build(datagen::GenerateUniform(data),
+                                                domain, options)
+                     .ValueOrDie();
+    want = DigestSharded(built, batch);
+    UVD_CHECK_OK(built.CloseStorage());
+  }
+  std::vector<std::vector<char>> pristine;
+  for (size_t s = 0; s < kShards; ++s) pristine.push_back(Slurp(shard_path(s)));
+
+  // Reference pass: the writes one re-checkpoint issues, per shard file.
+  std::vector<uint64_t> shard_writes(kShards);
+  {
+    auto diagram = shard::ShardedUVDiagram::Open(prefix).ValueOrDie();
+    UVD_CHECK_OK(diagram.Checkpoint());
+    for (size_t s = 0; s < kShards; ++s) {
+      shard_writes[s] = diagram.shard(s).fpm->file()->write_count();
+      ASSERT_GT(shard_writes[s], 1u);
+    }
+    UVD_CHECK_OK(diagram.CloseStorage());
+  }
+  const uint64_t total_writes = shard_writes[0] + shard_writes[1];
+
+  for (const WriteFault fault : {WriteFault::kCrash, WriteFault::kTorn}) {
+    for (uint64_t c = 0; c < total_writes; ++c) {
+      SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
+                   " crash_at=" + std::to_string(c));
+      for (size_t s = 0; s < kShards; ++s) Restore(shard_path(s), pristine[s]);
+      {
+        auto diagram = shard::ShardedUVDiagram::Open(prefix).ValueOrDie();
+        EXPECT_EQ(DigestSharded(diagram, batch), want);
+        const size_t victim = c < shard_writes[0] ? 0 : 1;
+        const uint64_t local = victim == 0 ? c : c - shard_writes[0];
+        diagram.shard(victim).fpm->file()->SetWriteHook(
+            [local, fault](uint64_t idx) {
+              return idx == local ? fault : WriteFault::kNone;
+            });
+        const Status crashed = diagram.Checkpoint();
+        ASSERT_FALSE(crashed.ok());
+        EXPECT_EQ(crashed.code(), StatusCode::kIOError);
+        EXPECT_FALSE(diagram.CloseStorage().ok());
+      }
+      auto reopened = shard::ShardedUVDiagram::Open(prefix);
+      if (!reopened.ok()) {
+        EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+        EXPECT_EQ(fault, WriteFault::kTorn);
+        continue;
+      }
+      EXPECT_EQ(DigestSharded(reopened.value(), batch), want);
+      UVD_CHECK_OK(reopened.value().CloseStorage());
+    }
+  }
+  for (size_t s = 0; s < kShards; ++s) std::remove(shard_path(s).c_str());
 }
 
 TEST(CrashRecoveryTest, CrashBeforeFirstCheckpointNeverYieldsADiagram) {
