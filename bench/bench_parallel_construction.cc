@@ -25,8 +25,9 @@
 //
 // `--json <path>` additionally writes every measured cell as a flat JSON
 // record (method, shape, threads, kernel, traversal, stage wall clocks,
-// the stage-1 phase breakdown descent/decode/kernel in aggregate CPU
-// seconds, speedups) for bench history tracking — see BENCH_stage1.json
+// the stage-2 wall split member/prefix/route/subtree/stitch/finalize, the
+// stage-1 phase breakdown descent/decode/kernel in aggregate CPU
+// seconds) for bench history tracking — see BENCH_stage1.json
 // at the repo root.
 #include "bench_common.h"
 
@@ -259,6 +260,13 @@ int main(int argc, char** argv) {
           report.Add("traversal", rtree::TraversalModeName(traversals[t]));
           report.Add("stage1_wall_s", bs.stage1_wall_seconds);
           report.Add("stage2_wall_s", bs.stage2_wall_seconds);
+          // Stage-2 wall split by phase (BuildStats::stage2_*_seconds).
+          report.Add("stage2_member_s", bs.stage2_member_seconds);
+          report.Add("stage2_prefix_s", bs.stage2_prefix_seconds);
+          report.Add("stage2_route_s", bs.stage2_route_seconds);
+          report.Add("stage2_subtree_s", bs.stage2_subtree_seconds);
+          report.Add("stage2_stitch_s", bs.stage2_stitch_seconds);
+          report.Add("stage2_finalize_s", bs.stage2_finalize_seconds);
           report.Add("total_s", bs.total_seconds);
           // Aggregate CPU seconds across workers (can exceed the walls).
           report.Add("descent_cpu_s", bs.traversal_seconds - bs.decode_seconds);

@@ -279,13 +279,25 @@ void NormalizeBuildStats(size_t n, BuildStats* s) {
 }  // namespace
 
 Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
-                 int workers, int max_depth, UVIndex* index) {
+                 int workers, int max_depth, UVIndex* index, BuildStats* build_stats) {
   UVD_TRACE_SPAN("build", "stage2");
   UVIndex::PartitionedInsertOptions popts;
   popts.threads = workers;
   popts.max_depth = max_depth;
-  UVD_RETURN_NOT_OK(index->InsertObjectsPartitioned(std::move(items), pool, popts));
-  return index->FinalizeWith(pool, workers);
+  UVIndex::PartitionedInsertReport report;
+  UVD_RETURN_NOT_OK(
+      index->InsertObjectsPartitioned(std::move(items), pool, popts, &report));
+  Timer finalize_timer;
+  UVD_RETURN_NOT_OK(index->FinalizeWith(pool, workers));
+  if (build_stats != nullptr) {
+    build_stats->stage2_member_seconds = report.member_seconds;
+    build_stats->stage2_prefix_seconds = report.prefix_seconds;
+    build_stats->stage2_route_seconds = report.route_seconds;
+    build_stats->stage2_subtree_seconds = report.subtree_seconds;
+    build_stats->stage2_stitch_seconds = report.stitch_seconds;
+    build_stats->stage2_finalize_seconds = finalize_timer.ElapsedSeconds();
+  }
+  return Status::OK();
 }
 
 Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
@@ -330,8 +342,8 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
   }
   {
     ScopedTimer t(&local.indexing_seconds);
-    UVD_RETURN_NOT_OK(
-        RunStage2(std::move(items), pool_ptr, workers, options.stage2_max_depth, index));
+    UVD_RETURN_NOT_OK(RunStage2(std::move(items), pool_ptr, workers,
+                                options.stage2_max_depth, index, &local));
   }
   local.stage2_wall_seconds = stage2_timer.ElapsedSeconds();
 

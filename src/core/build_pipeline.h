@@ -105,6 +105,17 @@ struct BuildStats {
   double stage1_wall_seconds = 0.0;
   double stage2_wall_seconds = 0.0;
 
+  /// Wall-clock split of RunStage2 by phase: the five phases of
+  /// UVIndex::InsertObjectsPartitioned (its PartitionedInsertReport),
+  /// then Finalize. stage2_wall_seconds minus their sum is the
+  /// BulkInsertItem assembly (cr-region copies) before RunStage2.
+  double stage2_member_seconds = 0.0;    ///< Member record materialization.
+  double stage2_prefix_seconds = 0.0;    ///< Serial prefix insertion.
+  double stage2_route_seconds = 0.0;     ///< Scaffold overlap routing.
+  double stage2_subtree_seconds = 0.0;   ///< Parallel subtree insertion.
+  double stage2_stitch_seconds = 0.0;    ///< Event merge + renumbering.
+  double stage2_finalize_seconds = 0.0;  ///< Leaf-page writes (FinalizeWith).
+
   /// Orthogonal split of stage-1 CPU seconds by where the cycles went
   /// (the bench's traversal-phase breakdown; aggregate across workers like
   /// the fields above). traversal covers both R-tree queries of Algorithm
@@ -167,9 +178,11 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
 /// `workers` workers and frontier depth `max_depth`), then finalizes it
 /// with the same workers. `pool` may be null, which runs both steps on the
 /// calling thread, and may be shared with sibling builds. The index
-/// serializes identically for every worker count and depth.
+/// serializes identically for every worker count and depth. If given,
+/// `build_stats` receives the stage2_*_seconds phase split.
 Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
-                 int workers, int max_depth, UVIndex* index);
+                 int workers, int max_depth, UVIndex* index,
+                 BuildStats* build_stats = nullptr);
 
 /// Stage 1 alone, materialized: index_ids->at(i) holds the ids whose
 /// outside regions describe object i's UV-cell (cr-objects for IC,

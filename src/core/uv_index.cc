@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -70,11 +71,6 @@ bool UVIndex::CheckOverlapWith(const Member& m, const geom::Box& region,
   // region, the UV-cell cannot overlap it (Lemma 4).
   const size_t n = m.cr_regions.size();
   if (n == 0) return true;
-  // Interior fast path: if the region lies inside the cell bounded by the
-  // cr-objects' edges, no single outside region can contain it, so the
-  // scan below would certainly answer "overlap". Identical decision, O(1)
-  // amortized instead of O(|C_i|).
-  if (m.cell != nullptr && m.cell->ContainsBox(region)) return true;
   // Batch 4-point kernel: the per-lane comparisons are exactly the scalar
   // scan's dist_min > dist_max tests, and "some outside region contains the
   // box" does not depend on scan order, so the decision is bitwise
@@ -314,23 +310,9 @@ Status UVIndex::InsertObject(const geom::Circle& region, int id,
 UVIndex::Member UVIndex::MakeMember(const geom::Circle& region, int id,
                                     uncertain::ObjectPtr ptr,
                                     std::vector<geom::Circle> cr_regions) const {
-  Member member{region, id, ptr, std::move(cr_regions), nullptr, {}};
+  Member member{region, id, ptr, std::move(cr_regions), {}};
   if (options_.kernel_mode == geom::KernelMode::kBatch) {
     member.cr_soa.Assign(member.cr_regions);
-  }
-  // The interior fast path (envelope containment) only pays off when the
-  // cr-object scan it replaces is long; small sets are cheaper to scan
-  // directly than to summarize. RadialEnvelope anchors must lie inside the
-  // domain, so border-replicated members (center outside a shard's
-  // sub-domain) skip the fast path — decisions are identical, just O(|C_i|).
-  constexpr size_t kCellFastPathThreshold = 32;
-  if (member.cr_regions.size() > kCellFastPathThreshold &&
-      domain_.Contains(region.center)) {
-    member.cell = std::make_unique<geom::RadialEnvelope>(region.center, domain_);
-    for (size_t k = 0; k < member.cr_regions.size(); ++k) {
-      member.cell->Insert(geom::RadialConstraint::ForObjects(
-          region, member.cr_regions[k], static_cast<int>(k)));
-    }
   }
   return member;
 }
@@ -389,10 +371,10 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
   const size_t prefix_cap = 16u * static_cast<size_t>(options_.leaf_fanout);
 
   // Phase 0 — materialize every member record up front. MakeMember is a
-  // pure function of the item (the envelope fast path never looks at the
-  // resident set), so the fan-out is invisible in the result. Workers
-  // share only the atomic claim cursor and write disjoint members_ slots;
-  // no mutex, hence nothing for the thread-safety analysis to guard here
+  // pure function of the item (it never looks at the resident set), so
+  // the fan-out is invisible in the result. Workers share only the atomic
+  // claim cursor and write disjoint members_ slots; no mutex, hence
+  // nothing for the thread-safety analysis to guard here
   // (docs/STATIC_ANALYSIS.md, "Phase-disciplined structures").
   {
     ScopedTimer t(&rep.member_seconds);
@@ -759,7 +741,6 @@ Status UVIndex::FinalizeWith(ThreadPool* pool, int threads) {
   for (Member& m : members_) {
     m.cr_regions.clear();
     m.cr_regions.shrink_to_fit();
-    m.cell.reset();
   }
   for (Node& node : nodes_) {
     for (auto& list : node.split_cache) {
@@ -829,7 +810,6 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
   // Match Finalize(): drop the construction caches for the new member.
   members_[slot].cr_regions.clear();
   members_[slot].cr_regions.shrink_to_fit();
-  members_[slot].cell.reset();
   return Status::OK();
 }
 

@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include <memory>
-
 #include "common/result.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -21,7 +19,6 @@
 #include "geom/batch/kernels.h"
 #include "geom/box.h"
 #include "geom/circle.h"
-#include "geom/envelope.h"
 #include "rtree/rtree.h"
 #include "storage/page_manager.h"
 #include "uncertain/object_store.h"
@@ -122,7 +119,7 @@ class UVIndex {
     int subtrees = 0;            ///< Parallel insertion domains (frontier size).
     size_t parallel_splits = 0;  ///< Split events replayed by the stitch.
     bool serial_fallback = false;  ///< max_nonleaf bound: rebuilt serially.
-    double member_seconds = 0.0;   ///< Member/envelope materialization.
+    double member_seconds = 0.0;   ///< Member record (cr-set + SoA) materialization.
     double prefix_seconds = 0.0;   ///< Serial prefix insertion.
     double route_seconds = 0.0;    ///< Ancestor overlap routing.
     double subtree_seconds = 0.0;  ///< Parallel subtree insertion.
@@ -274,19 +271,15 @@ class UVIndex {
     geom::Circle region;
     int id;
     uncertain::ObjectPtr ptr;
-    std::vector<geom::Circle> cr_regions;
-    /// Cell envelope from the cr-objects, used as an interior fast path in
-    /// CheckOverlap: a grid region fully inside the cell can never be
-    /// contained in any single outside region, so Algorithm 5 would answer
-    /// "overlap" without the scan. Dropped at Finalize().
+    /// C_i: every CheckOverlap (Algorithm 5) scans their outside regions.
+    /// Dropped at Finalize().
     /// (Pruner hints deliberately do NOT live here: a member-resident memo
     /// threads scan state across leaves in insertion-time order, which
     /// parallel subtree builds cannot replay. They live in
     /// Node::member_hints instead.)
-    std::unique_ptr<geom::RadialEnvelope> cell;
+    std::vector<geom::Circle> cr_regions;
     /// SoA mirror of cr_regions for the batch 4-point kernel; filled by
-    /// MakeMember iff options_.kernel_mode == kBatch, dropped with the
-    /// member records at Finalize().
+    /// MakeMember iff options_.kernel_mode == kBatch.
     geom::batch::CircleSoA cr_soa;
   };
 
@@ -352,8 +345,8 @@ class UVIndex {
                            std::array<std::vector<uint32_t>, 4>* child_lists,
                            std::array<std::vector<uint32_t>, 4>* child_hints);
 
-  /// Builds the construction-time member record; the cell envelope is only
-  /// materialized for large cr-sets where the interior fast path pays.
+  /// Builds the construction-time member record: the cr-objects, plus
+  /// their SoA mirror under kBatch. A pure function of its arguments.
   Member MakeMember(const geom::Circle& region, int id, uncertain::ObjectPtr ptr,
                     std::vector<geom::Circle> cr_regions) const;
 

@@ -108,7 +108,7 @@ Result<UVIndex> UVIndex::DeserializeStructure(const std::vector<uint8_t>& data,
     for (const rtree::LeafEntry& e : tuples) {
       auto it = slot_of.find(e.id);
       if (it == slot_of.end()) {
-        index.members_.push_back(Member{e.mbc, e.id, e.ptr, {}, nullptr, {}});
+        index.members_.push_back(Member{e.mbc, e.id, e.ptr, {}, {}});
         it = slot_of.emplace(e.id, static_cast<uint32_t>(index.members_.size() - 1))
                  .first;
       }

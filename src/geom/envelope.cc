@@ -206,58 +206,6 @@ bool RadialEnvelope::Contains(const Point& p) const {
   return r <= RhoAt(d.Angle());
 }
 
-double RadialEnvelope::MinRhoOverWindow(double begin, double extent) const {
-  UVD_DCHECK_GE(extent, 0.0);
-  extent = std::min(extent, kTwoPi);
-  double best = std::numeric_limits<double>::infinity();
-  // Visit every arc that intersects [begin, begin + extent] (the arc list
-  // covers [front.begin, front.begin + 2*pi)).
-  const double window_lo = NormalizeAngle(begin);
-  for (const EnvelopeArc& arc : arcs_) {
-    if (arc.cidx == EnvelopeArc::kUnbounded) return 0.0;  // treat as open
-    const RadialConstraint& c = constraints_[static_cast<size_t>(arc.cidx)];
-    const double phi = c.w.Angle();
-    // Intersect the window with this arc. Arcs live in [0, 4*pi) (the last
-    // one may wrap past 2*pi) and the window may cross the seam, so test
-    // the window's three unwrapped images.
-    for (double shift : {-kTwoPi, 0.0, kTwoPi}) {
-      const double lo = std::max(arc.begin, window_lo + shift);
-      const double hi = std::min(arc.end, window_lo + shift + extent);
-      if (lo > hi) continue;
-      // rho grows with the angular distance from phi, so the minimum over
-      // [lo, hi] is at the angle closest to phi (mod 2*pi).
-      double theta_min;
-      const double phi_shifted = phi + std::round((0.5 * (lo + hi) - phi) / kTwoPi) * kTwoPi;
-      theta_min = std::clamp(phi_shifted, lo, hi);
-      best = std::min(best, c.RhoAtAngle(theta_min));
-      best = std::min(best, std::min(c.RhoAtAngle(lo), c.RhoAtAngle(hi)));
-    }
-  }
-  return best;
-}
-
-bool RadialEnvelope::ContainsBox(const Box& r) const {
-  const double max_dist = r.MaxDist(center_);
-  if (r.Contains(center_)) {
-    return max_dist <= MinRhoOverWindow(0.0, kTwoPi);
-  }
-  // Angular window subtended by the box: corner angles relative to a
-  // reference corner, all within (-pi, pi) of it since the box does not
-  // contain the anchor.
-  const auto corners = r.Corners();
-  const double a0 = (corners[0] - center_).Angle();
-  double lo = 0.0, hi = 0.0;
-  for (int i = 1; i < 4; ++i) {
-    const double a = (corners[static_cast<size_t>(i)] - center_).Angle();
-    double delta = a - a0;
-    while (delta > M_PI) delta -= kTwoPi;
-    while (delta < -M_PI) delta += kTwoPi;
-    lo = std::min(lo, delta);
-    hi = std::max(hi, delta);
-  }
-  return max_dist <= MinRhoOverWindow(a0 + lo, hi - lo);
-}
-
 double RadialEnvelope::MaxVertexDistance() const {
   double best = 0.0;
   // Adjacent arcs share their boundary angle bitwise (arc.end is assigned

@@ -57,17 +57,6 @@ class RadialEnvelope {
   /// True iff p belongs to the (closed) region.
   bool Contains(const Point& p) const;
 
-  /// Sufficient containment test for a whole box: true implies every point
-  /// of r lies in the region (compares the box's max distance from the
-  /// anchor against the minimum boundary distance over the angular window
-  /// the box subtends). May return false for boxes that are contained but
-  /// hug the boundary; never returns true for a box that is not contained.
-  bool ContainsBox(const Box& r) const;
-
-  /// Minimum of rho over the (normalized) angular interval
-  /// [begin, begin + extent], extent in [0, 2*pi].
-  double MinRhoOverWindow(double begin, double extent) const;
-
   /// Maximum distance d of the region from the anchor center (paper
   /// Lemma 2). Attained at an arc endpoint because each arc's radial
   /// function is monotone in the angular distance from its axis.

@@ -144,6 +144,23 @@ TEST(BuildPipelineTest, DefaultThreadsMatchesSerial) {
   EXPECT_EQ(Serialized(serial), Serialized(parallel));
 }
 
+TEST(BuildPipelineTest, Stage2PhaseSplitFitsInsideStage2Wall) {
+  // The stage2_*_seconds phases are disjoint intervals inside the
+  // stage-2 wall clock; with four workers every phase runs.
+  const UVDiagram d = BuildDiagram(BuildMethod::kIC, 4, 900, 59);
+  const BuildStats& bs = d.build_stats();
+  EXPECT_GT(bs.stage2_member_seconds, 0.0);
+  EXPECT_GT(bs.stage2_prefix_seconds, 0.0);
+  EXPECT_GT(bs.stage2_route_seconds, 0.0);
+  EXPECT_GT(bs.stage2_subtree_seconds, 0.0);
+  EXPECT_GT(bs.stage2_stitch_seconds, 0.0);
+  EXPECT_GT(bs.stage2_finalize_seconds, 0.0);
+  EXPECT_LE(bs.stage2_member_seconds + bs.stage2_prefix_seconds +
+                bs.stage2_route_seconds + bs.stage2_subtree_seconds +
+                bs.stage2_stitch_seconds + bs.stage2_finalize_seconds,
+            bs.stage2_wall_seconds);
+}
+
 TEST(BuildPipelineTest, InsertionErrorAbortsCleanly) {
   // An object whose center lies outside the *index* domain makes stage-2
   // insertion fail; the pipeline must propagate the error and shut its

@@ -1,6 +1,7 @@
 // Determinism contract of the domain-partitioned parallel stage 2: for
-// every tested thread count, frontier depth and dataset shape (uniform and
-// the Fig. 7(g) skewed Gaussian clouds), the serialized UV-index must be
+// every tested thread count, frontier depth and dataset shape (uniform,
+// the Fig. 7(g) skewed Gaussian clouds, and a tight cloud whose members
+// mostly carry more than 32 cr-objects), the serialized UV-index must be
 // BITWISE-identical to the InsertObject-per-object oracle
 // (insert_object_oracle.h) —
 // structure, leaf tuples and page layout — and EVERY Stats ticker must
@@ -132,6 +133,40 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ShapeCase>& info) {
       return info.param.name;
     });
+
+TEST(Stage2PartitionTest, DenseCloudMatchesOracleAcrossThreadsAndKernels) {
+  // A tight cloud (sigma 300 at n = 700) gives most members more than 32
+  // cr-objects, so Algorithm 5 runs long scans: the SIMD batch kernel
+  // under kBatch, the per-edge loop under kScalar. The density guard keeps
+  // the case from quietly going sparse.
+  const size_t n = 700;
+  const uint64_t seed = 23;
+  const double sigma = 300.0;
+  const auto objects = MakeObjects(Shape::kCloud, n, seed, sigma);
+  oracle::BuildFixture reference(objects, Domain(n, seed), nullptr);
+  std::vector<std::vector<int>> index_ids;
+  UVD_CHECK_OK(ComputeStage1Candidates(objects, *reference.tree, reference.domain,
+                                       BuildPipelineOptions{}, &index_ids));
+  size_t dense = 0;
+  for (const std::vector<int>& ids : index_ids) dense += ids.size() > 32 ? 1 : 0;
+  ASSERT_GE(4 * dense, n) << dense << " of " << n << " members have > 32 cr-objects";
+
+  reference.InsertEachObject(BuildPipelineOptions{}, nullptr, nullptr);
+  const std::vector<uint8_t> oracle_bytes = reference.Serialized();
+  const auto oracle_leaves = oracle::LeafTupleIds(*reference.index);
+  for (geom::KernelMode kernel : {geom::KernelMode::kBatch, geom::KernelMode::kScalar}) {
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE(std::string("kernel=") + geom::KernelModeName(kernel) +
+                   " threads=" + std::to_string(threads));
+      UVDiagramOptions options;
+      options.build_threads = threads;
+      options.kernel_mode = kernel;
+      const UVDiagram partitioned = BuildWith(Shape::kCloud, n, seed, sigma, options);
+      EXPECT_EQ(oracle_bytes, Serialized(partitioned));
+      EXPECT_EQ(oracle_leaves, oracle::LeafTupleIds(partitioned.index()));
+    }
+  }
+}
 
 TEST(Stage2PartitionTest, IcrPartitionedMatchesSerial) {
   const size_t n = 400;

@@ -259,72 +259,6 @@ TEST(EnvelopeTest, InsertionOrderIrrelevant) {
   }
 }
 
-TEST(EnvelopeTest, ContainsBoxNeverFalsePositive) {
-  // ContainsBox(r) == true must imply every point of r is in the region.
-  Rng rng(777);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Circle anchor({rng.Uniform(200, 800), rng.Uniform(200, 800)}, 10);
-    RadialEnvelope env(anchor.center, Domain());
-    for (int j = 0; j < 12; ++j) {
-      env.Insert(RadialConstraint::ForObjects(
-          anchor,
-          Circle({rng.Uniform(0, kDomainSize), rng.Uniform(0, kDomainSize)}, 10.0),
-          j));
-    }
-    for (int t = 0; t < 400; ++t) {
-      const Point lo{rng.Uniform(0, kDomainSize - 60), rng.Uniform(0, kDomainSize - 60)};
-      const Box r(lo, lo + Vec2{rng.Uniform(1, 60), rng.Uniform(1, 60)});
-      if (!env.ContainsBox(r)) continue;
-      for (const Point& c : r.Corners()) {
-        EXPECT_TRUE(env.Contains(c)) << "trial=" << trial;
-      }
-      // Interior samples too (star-shaped regions can dent between corners).
-      for (int s = 0; s < 8; ++s) {
-        const Point p{rng.Uniform(r.lo.x, r.hi.x), rng.Uniform(r.lo.y, r.hi.y)};
-        EXPECT_TRUE(env.Contains(p));
-      }
-    }
-  }
-}
-
-TEST(EnvelopeTest, ContainsBoxDetectsInteriorBoxes) {
-  // Small boxes around the anchor center must be recognized as contained.
-  const Circle anchor({500, 500}, 10);
-  RadialEnvelope env(anchor.center, Domain());
-  env.Insert(RadialConstraint::ForObjects(anchor, Circle({700, 500}, 10), 1));
-  env.Insert(RadialConstraint::ForObjects(anchor, Circle({300, 480}, 10), 2));
-  EXPECT_TRUE(env.ContainsBox(Box({490, 490}, {510, 510})));  // contains anchor
-  EXPECT_TRUE(env.ContainsBox(Box({520, 520}, {540, 540})));  // off-center
-  EXPECT_FALSE(env.ContainsBox(Box({0, 0}, {1000, 1000})));   // way too big
-  EXPECT_FALSE(env.ContainsBox(Box({900, 500}, {950, 550})))
-      << "beyond object 1's UV-edge";
-}
-
-TEST(EnvelopeTest, MinRhoOverWindowMatchesSampling) {
-  Rng rng(31415);
-  const Circle anchor({400, 600}, 12);
-  RadialEnvelope env(anchor.center, Domain());
-  for (int j = 0; j < 10; ++j) {
-    env.Insert(RadialConstraint::ForObjects(
-        anchor,
-        Circle({rng.Uniform(0, kDomainSize), rng.Uniform(0, kDomainSize)}, 12.0), j));
-  }
-  for (int t = 0; t < 50; ++t) {
-    const double begin = rng.Uniform(0, 2 * M_PI);
-    const double extent = rng.Uniform(0.01, 2 * M_PI);
-    const double fast = env.MinRhoOverWindow(begin, extent);
-    double sampled = std::numeric_limits<double>::infinity();
-    const int steps = 2000;
-    for (int s = 0; s <= steps; ++s) {
-      sampled = std::min(sampled, env.RhoAt(begin + extent * s / steps));
-    }
-    // Closed form is a true minimum: never above the sampled one, and the
-    // sampled one approaches it.
-    EXPECT_LE(fast, sampled + 1e-9) << t;
-    EXPECT_NEAR(fast, sampled, 0.02 * sampled) << t;
-  }
-}
-
 TEST(EnvelopeTest, StatsCountsInsertions) {
   Stats stats;
   RadialEnvelope env({500, 500}, Domain(), &stats);

@@ -122,6 +122,31 @@ TEST(LiveInsertTest, PatternQueriesSeeInsertedObjects) {
   EXPECT_GE(summary.value().num_leaves, 1u);
 }
 
+TEST(LiveInsertTest, AnswersStayExactInDenseCore) {
+  // A tight Gaussian cloud gives most objects more than 32 cr-objects, so
+  // every live-insert CheckOverlap here is a long Algorithm 5 scan. The
+  // inserts land in the cloud's core and queries probe it.
+  datagen::DatasetOptions opts;
+  opts.count = 700;
+  opts.seed = 23;
+  auto diagram = UVDiagram::Build(datagen::GenerateGaussianCloud(opts, 300.0),
+                                  datagen::DomainFor(opts))
+                     .ValueOrDie();
+  Rng rng(29);
+  for (int k = 0; k < 30; ++k) {
+    const int id = static_cast<int>(diagram.objects().size());
+    ASSERT_TRUE(diagram
+                    .InsertObject(uncertain::UncertainObject::WithGaussianPdf(
+                        id, {{rng.Gaussian(5000, 300), rng.Gaussian(5000, 300)}, 20}))
+                    .ok());
+  }
+  for (int t = 0; t < 60; ++t) {
+    const geom::Point q{rng.Gaussian(5000, 300), rng.Gaussian(5000, 300)};
+    EXPECT_EQ(diagram.AnswerObjectIds(q).ValueOrDie(), BruteAnswers(diagram.objects(), q))
+        << "t=" << t;
+  }
+}
+
 TEST(LiveInsertTest, ManyInsertsLengthenLeafChains) {
   // The frozen grid absorbs inserts as page-chain growth, not splits.
   datagen::DatasetOptions opts;
