@@ -188,9 +188,11 @@ void Accumulate(const StageResult& r, BuildStats* s) {
 
 /// Stage 1 materialized across `workers` from `pool` (nullable when
 /// workers <= 1): results land positionally, in any order, and per-worker
-/// Stats shards are merged into `stats` before returning. Shared by
-/// ComputeStage1Candidates and RunBuildPipeline.
-void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& objects,
+/// Stats shards are merged into `stats` before returning. A worker stops at
+/// its first R-tree leaf-read failure, which is returned (the lowest
+/// worker's when several fail). Shared by ComputeStage1Candidates and
+/// RunBuildPipeline.
+Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& objects,
                            const rtree::RTree& tree, const geom::Box& domain,
                            const BuildPipelineOptions& options, int workers,
                            ThreadPool* pool, std::vector<StageResult>* results,
@@ -208,12 +210,12 @@ void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& object
     // land positionally, so the sweep order never shows in the output.
     std::vector<uint32_t> order;
     if (tiled) order = MortonOrder(objects, domain);
-    for (size_t j = 0; j < n; ++j) {
+    for (size_t j = 0; j < n && ws.status().ok(); ++j) {
       const size_t i = tiled ? order[j] : j;
       (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
                                      denom, options.kernel_mode, stats, &ws);
     }
-    return;
+    return ws.status();
   }
   // Tiled Morton sweep under kShared: workers claim contiguous tiles of
   // the space-filling order, so each session's frontier/bound/memo sees
@@ -229,6 +231,7 @@ void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& object
                : 64;
   }
   std::vector<Stats> shards(static_cast<size_t>(workers));
+  std::vector<Status> failures(static_cast<size_t>(workers));
   std::atomic<size_t> next{0};
   auto done = std::make_shared<WaitGroup>(workers);
   for (int w = 0; w < workers; ++w) {
@@ -237,7 +240,7 @@ void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& object
       Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
       const CrObjectFinder finder(objects, tree, domain, FinderOptions(options), shard);
       CrFinderWorkspace ws = MakeWorkspace(tree, options, shard);
-      for (;;) {
+      while (ws.status().ok()) {
         const size_t claim = next.fetch_add(1, std::memory_order_relaxed);
         const size_t begin = claim * tile;
         if (begin >= n) break;
@@ -248,6 +251,7 @@ void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& object
                                          denom, options.kernel_mode, shard, &ws);
         }
       }
+      failures[static_cast<size_t>(w)] = ws.status();
       done->Done();
     });
   }
@@ -255,6 +259,8 @@ void RunStage1Materialized(const std::vector<uncertain::UncertainObject>& object
   if (stats != nullptr) {
     for (const Stats& shard : shards) stats->MergeFrom(shard);
   }
+  for (const Status& failure : failures) UVD_RETURN_NOT_OK(failure);
+  return Status::OK();
 }
 
 Status ValidateIdOrder(const std::vector<uncertain::UncertainObject>& objects) {
@@ -322,8 +328,8 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
   {
     UVD_TRACE_SPAN("build", "stage1");
     Timer stage1_timer;
-    RunStage1Materialized(objects, tree, domain, options, workers, pool_ptr, &results,
-                          stats);
+    UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
+                                            pool_ptr, &results, stats));
     local.stage1_wall_seconds = stage1_timer.ElapsedSeconds();
   }
   // Accumulate the per-object BuildStats deltas in id order — the same
@@ -368,11 +374,12 @@ Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& ob
   Timer total_timer;
   std::vector<StageResult> results;
   if (workers <= 1) {
-    RunStage1Materialized(objects, tree, domain, options, 1, nullptr, &results, stats);
+    UVD_RETURN_NOT_OK(
+        RunStage1Materialized(objects, tree, domain, options, 1, nullptr, &results, stats));
   } else {
     ThreadPool pool(workers);
-    RunStage1Materialized(objects, tree, domain, options, workers, &pool, &results,
-                          stats);
+    UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
+                                            &pool, &results, stats));
   }
   local.stage1_wall_seconds = total_timer.ElapsedSeconds();
 

@@ -75,6 +75,12 @@ struct CrFinderWorkspace {
   // Phase-time accumulators (CrResult reports per-call deltas).
   double traversal_seconds = 0.0;
   double kernel_seconds = 0.0;
+
+  /// The first R-tree leaf-read failure of any Find through this workspace,
+  /// sticky; OK when none. A Find that hits one returns an incomplete C_i.
+  const Status& status() const {
+    return session != nullptr ? session->status() : scratch.status;
+  }
 };
 
 /// \brief Runs Algorithm 2 against a dataset indexed by an R-tree.
@@ -94,7 +100,8 @@ class CrObjectFinder {
                  const CrFinderOptions& options = {}, Stats* stats = nullptr);
 
   /// Derives C_i for objects[index]. `ws` (optional) supplies reusable
-  /// buffers and, when it carries a session, the shared traversal.
+  /// buffers and, when it carries a session, the shared traversal; leaf-read
+  /// failures are visible only through its status().
   CrResult Find(size_t index, CrFinderWorkspace* ws = nullptr) const;
 
   /// Step 1 only: the seed-based initial possible region P_i (exposed for

@@ -132,7 +132,9 @@ Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
   // lazily rebuilt R-tree covers every earlier insert).
   RefreshRtreeIfStale();
   const CrObjectFinder finder(objects_, *rtree_, unit_.box, options_.cr, stats_);
-  const CrResult cr = finder.Find(objects_.size() - 1);
+  CrFinderWorkspace ws;
+  const CrResult cr = finder.Find(objects_.size() - 1, &ws);
+  UVD_RETURN_NOT_OK(ws.status());
   std::vector<geom::Circle> cr_regions;
   cr_regions.reserve(cr.cr_objects.size());
   for (int id : cr.cr_objects) {

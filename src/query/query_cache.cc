@@ -1,7 +1,6 @@
 #include "query/query_cache.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace uvd {
 namespace query {
@@ -10,19 +9,10 @@ QueryCache::QueryCache(const QueryCacheOptions& options) {
   capacity_ = std::max<size_t>(1, options.capacity);
   const size_t shards =
       std::min<size_t>(std::max(1, options.shards), capacity_);
-  shard_capacity_ = std::max<size_t>(1, capacity_ / shards);
-  const double fraction =
-      std::min(1.0, std::max(0.0, options.protected_fraction));
-  // At least one probationary slot must survive: with the protected
-  // segment covering the whole shard, every miss would insert and
-  // immediately evict ITSELF, freezing the cache on its first promoted
-  // working set forever.
-  protected_capacity_ = std::min(
-      shard_capacity_ - 1,
-      static_cast<size_t>(fraction * static_cast<double>(shard_capacity_)));
+  const size_t shard_capacity = std::max<size_t>(1, capacity_ / shards);
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(shard_capacity));
   }
 }
 
@@ -32,33 +22,14 @@ Result<std::vector<rtree::LeafEntry>> QueryCache::GetOrLoad(uint32_t leaf,
   Shard& shard = ShardFor(leaf);
   {
     MutexLock lock(shard.mu);
-    auto it = shard.map.find(leaf);
-    if (it != shard.map.end()) {
-      if (stats != nullptr) stats->Add(Ticker::kQueryCacheHits);
-      Slot& slot = it->second;
-      if (slot.is_protected) {
-        shard.protected_.splice(shard.protected_.begin(), shard.protected_,
-                                slot.it);
-      } else if (protected_capacity_ > 0) {
-        // First re-reference: promote into the protected segment. If the
-        // segment is full its LRU tail goes back to the probationary front
-        // (one more chance before the scan tail can reach it).
-        if (stats != nullptr) stats->Add(Ticker::kQueryCachePromotions);
-        shard.protected_.splice(shard.protected_.begin(), shard.probationary,
-                                slot.it);
-        slot.is_protected = true;
-        if (shard.protected_.size() > protected_capacity_) {
-          if (stats != nullptr) stats->Add(Ticker::kQueryCacheDemotions);
-          auto demoted = std::prev(shard.protected_.end());
-          shard.probationary.splice(shard.probationary.begin(),
-                                    shard.protected_, demoted);
-          shard.map[demoted->leaf].is_protected = false;
-        }
-      } else {
-        shard.probationary.splice(shard.probationary.begin(),
-                                  shard.probationary, slot.it);
+    const auto hit = shard.lru.Lookup(leaf);
+    if (hit.value != nullptr) {
+      if (stats != nullptr) {
+        stats->Add(Ticker::kQueryCacheHits);
+        if (hit.promoted) stats->Add(Ticker::kQueryCachePromotions);
+        if (hit.demoted) stats->Add(Ticker::kQueryCacheDemotions);
       }
-      return slot.it->tuples;  // copy: the caller consumes it
+      return *hit.value;  // copy: the caller consumes it
     }
   }
 
@@ -67,21 +38,8 @@ Result<std::vector<rtree::LeafEntry>> QueryCache::GetOrLoad(uint32_t leaf,
   if (!loaded.ok()) return loaded.status();
   std::vector<rtree::LeafEntry> tuples = std::move(loaded).value();
 
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(leaf);
-    if (it == shard.map.end()) {  // a concurrent miss may have won the race
-      shard.probationary.push_front(Entry{leaf, tuples});
-      shard.map[leaf] = Slot{shard.probationary.begin(), false};
-      if (shard.map.size() > shard_capacity_) {
-        // Evict the probationary LRU tail; the probationary list is
-        // non-empty (the incoming entry just joined it), so scan traffic
-        // never reaches the protected segment.
-        shard.map.erase(shard.probationary.back().leaf);
-        shard.probationary.pop_back();
-      }
-    }
-  }
+  MutexLock lock(shard.mu);
+  shard.lru.Insert(leaf, tuples);  // a concurrent miss may have won the race
   return tuples;
 }
 
@@ -89,22 +47,15 @@ Status QueryCache::WarmInsert(uint32_t leaf, const Loader& loader, Stats* stats)
   Shard& shard = ShardFor(leaf);
   {
     MutexLock lock(shard.mu);
-    if (shard.map.find(leaf) != shard.map.end()) return Status::OK();
+    if (shard.lru.Peek(leaf) != nullptr) return Status::OK();
   }
   auto loaded = loader();
   if (!loaded.ok()) return loaded.status();
-  std::vector<rtree::LeafEntry> tuples = std::move(loaded).value();
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(leaf);
-    if (it != shard.map.end()) return Status::OK();  // lost the race: keep theirs
-    if (stats != nullptr) stats->Add(Ticker::kQueryCacheWarmInserts);
-    shard.probationary.push_front(Entry{leaf, std::move(tuples)});
-    shard.map[leaf] = Slot{shard.probationary.begin(), false};
-    if (shard.map.size() > shard_capacity_) {
-      shard.map.erase(shard.probationary.back().leaf);
-      shard.probationary.pop_back();
-    }
+
+  MutexLock lock(shard.mu);
+  // Losing the race to a concurrent load keeps theirs.
+  if (shard.lru.Insert(leaf, std::move(loaded).value()).second && stats != nullptr) {
+    stats->Add(Ticker::kQueryCacheWarmInserts);
   }
   return Status::OK();
 }
@@ -112,9 +63,7 @@ Status QueryCache::WarmInsert(uint32_t leaf, const Loader& loader, Stats* stats)
 void QueryCache::Clear() {
   for (auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    shard->probationary.clear();
-    shard->protected_.clear();
-    shard->map.clear();
+    shard->lru.Clear();
   }
 }
 
@@ -122,7 +71,7 @@ size_t QueryCache::size() const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    n += shard->map.size();
+    n += shard->lru.size();
   }
   return n;
 }
@@ -131,7 +80,7 @@ size_t QueryCache::protected_size() const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    n += shard->protected_.size();
+    n += shard->lru.protected_size();
   }
   return n;
 }

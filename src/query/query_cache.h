@@ -12,13 +12,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "common/segmented_lru.h"
 #include "common/stats.h"
 #include "common/thread_annotations.h"
 #include "rtree/leaf_codec.h"
@@ -32,34 +30,18 @@ namespace query {
 struct QueryCacheOptions {
   size_t capacity = 1024;  ///< Max cached leaves across all shards.
   int shards = 8;          ///< Lock shards; <= 1 means one global lock.
-  /// Segmented-LRU admission (ROADMAP "cross-batch cache reuse"): the
-  /// fraction of each lock shard's capacity reserved for the PROTECTED
-  /// segment. New leaves enter probationary and are promoted on their
-  /// first re-reference; eviction always takes the probationary LRU tail
-  /// first, so a one-pass adversarial scan — whose leaves are never
-  /// re-referenced — can only churn the probationary segment and a hot
-  /// trajectory working set survives it. 0 disables the protected segment
-  /// (plain LRU). Promotions/demotions are billed as
-  /// kQueryCachePromotions / kQueryCacheDemotions.
-  double protected_fraction = 0.8;
 };
 
 /// \brief Bounded, sharded segmented-LRU map from leaf index to decoded
 /// leaf tuples.
 ///
-/// Admission policy (per lock shard): two LRU lists, probationary and
-/// protected. Misses insert at the probationary front; a hit on a
-/// probationary entry promotes it to the protected front; a hit on a
-/// protected entry refreshes it in place. When the protected segment
-/// outgrows its reservation its LRU tail is demoted back to the
-/// probationary front (one more chance), and when the shard outgrows its
-/// capacity the probationary LRU tail is evicted — so untouched-once scan
-/// traffic can never displace the protected set. With no re-references at
-/// all every entry sits in probationary and the policy degenerates to the
-/// plain LRU it replaced.
+/// Admission policy: one SegmentedLru (common/segmented_lru.h) per lock
+/// shard, so untouched-once scan traffic can never displace the
+/// re-referenced set. Promotions/demotions are billed as
+/// kQueryCachePromotions / kQueryCacheDemotions.
 ///
 /// Thread safety: every method is safe for concurrent callers. Each shard
-/// has its own mutex + LRU lists; a leaf's shard is fixed (leaf % shards),
+/// has its own mutex + policy core; a leaf's shard is fixed (leaf % shards),
 /// so two workers only contend when their leaves collide on a shard. The
 /// loader runs outside the shard lock — two workers missing the same leaf
 /// simultaneously may both read it (duplicate I/O, identical bytes) rather
@@ -101,29 +83,15 @@ class QueryCache {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  struct Entry {
-    uint32_t leaf;
-    std::vector<rtree::LeafEntry> tuples;
-  };
-  struct Slot {
-    std::list<Entry>::iterator it;
-    bool is_protected;
-  };
   struct Shard {
+    explicit Shard(size_t capacity) : lru(capacity) {}
     mutable Mutex mu;
-    // Both LRU lists keep most-recently-used at the front. The map is
-    // never iterated (iteration order of an unordered container is not
-    // deterministic — scripts/check_determinism.py enforces this).
-    std::list<Entry> probationary UVD_GUARDED_BY(mu);
-    std::list<Entry> protected_ UVD_GUARDED_BY(mu);
-    std::unordered_map<uint32_t, Slot> map UVD_GUARDED_BY(mu);
+    SegmentedLru<uint32_t, std::vector<rtree::LeafEntry>> lru UVD_GUARDED_BY(mu);
   };
 
   Shard& ShardFor(uint32_t leaf) { return *shards_[leaf % shards_.size()]; }
 
-  size_t capacity_;            // total, across shards
-  size_t shard_capacity_;      // per shard
-  size_t protected_capacity_;  // per shard, <= shard_capacity_
+  size_t capacity_;  // total, across shards
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

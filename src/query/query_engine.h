@@ -39,8 +39,8 @@
 // (grid, bisection, or the data-adaptive median cuts), the engine is
 // partitioning-agnostic. docs/ARCHITECTURE.md has the subsystem map, the
 // batch data flow through the sharded path, and the determinism
-// guarantees table; docs/TUNING.md covers the knobs (threads,
-// protected_fraction, cache sizing) with measured trade-offs.
+// guarantees table; docs/TUNING.md covers the knobs (threads, cache
+// sizing) with measured trade-offs.
 #ifndef UVD_QUERY_QUERY_ENGINE_H_
 #define UVD_QUERY_QUERY_ENGINE_H_
 

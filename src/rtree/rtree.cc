@@ -137,6 +137,17 @@ Status RTree::ReadLeaf(storage::PageId page, std::vector<LeafEntry>* out) const 
   return Status::OK();
 }
 
+bool RTree::ReadLeafInto(storage::PageId page, TraversalScratch* scratch) const {
+  Status read;
+  {
+    ScopedTimer t(&scratch->decode_seconds);
+    read = ReadLeaf(page, &scratch->page_entries);
+  }
+  if (read.ok()) return true;
+  if (scratch->status.ok()) scratch->status = std::move(read);
+  return false;
+}
+
 std::vector<LeafEntry> RTree::KNearestByDistMin(const geom::Point& q, int k) const {
   TraversalScratch scratch;
   std::vector<LeafEntry> result;
@@ -176,10 +187,7 @@ void RTree::KNearestByDistMin(const geom::Point& q, int k,
         break;
       }
       case 1: {  // leaf page
-        {
-          ScopedTimer t(&scratch->decode_seconds);
-          if (!ReadLeaf(leaf_pages_[item.index], &page_entries).ok()) break;
-        }
+        if (!ReadLeafInto(leaf_pages_[item.index], scratch)) return;
         for (const LeafEntry& e : page_entries) {
           heap.push_back({e.mbc.DistMin(q), item.index, e.id, 2, e});
           std::push_heap(heap.begin(), heap.end(), worse);
@@ -217,10 +225,7 @@ void RTree::CentersInRange(const geom::Point& center, double radius,
     for (uint32_t c : node.children) {
       if (node.leaf_children) {
         if (leaf_mbrs_[c].MinDist(center) > radius) continue;
-        {
-          ScopedTimer t(&scratch->decode_seconds);
-          if (!ReadLeaf(leaf_pages_[c], &page_entries).ok()) continue;
-        }
+        if (!ReadLeafInto(leaf_pages_[c], scratch)) return;
         for (const LeafEntry& e : page_entries) {
           if (geom::Distance(e.mbc.center, center) <= radius) {
             out->push_back(e);

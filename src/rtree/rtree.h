@@ -61,6 +61,9 @@ struct TraversalScratch {
   /// Wall seconds spent decoding leaf pages through this scratch,
   /// accumulated across calls (the bench's leaf-decode phase).
   double decode_seconds = 0.0;
+  /// The first leaf-read failure of any call through this scratch, sticky;
+  /// OK when none. A call that hits one returns an incomplete result.
+  Status status;
 };
 
 /// \brief Packed R-tree with disk-resident leaves.
@@ -96,7 +99,8 @@ class RTree {
 
   /// Allocation-free k-NN: reuses `scratch`'s heap and page buffer and
   /// appends nothing — `out` is cleared first. Identical output to the
-  /// allocating overload.
+  /// allocating overload. A leaf-read failure stops the query and is
+  /// recorded in scratch->status.
   void KNearestByDistMin(const geom::Point& q, int k, TraversalScratch* scratch,
                          std::vector<LeafEntry>* out) const;
 
@@ -106,7 +110,7 @@ class RTree {
                                         double radius) const;
 
   /// Allocation-free range query; `out` is cleared first. Identical output
-  /// to the allocating overload.
+  /// to the allocating overload. Leaf-read failures as for k-NN.
   void CentersInRange(const geom::Point& center, double radius,
                       TraversalScratch* scratch, std::vector<LeafEntry>* out) const;
 
@@ -128,6 +132,10 @@ class RTree {
 
  private:
   RTree() = default;
+
+  /// ReadLeaf into scratch->page_entries, timed into its decode_seconds;
+  /// on failure records the sticky scratch->status and returns false.
+  bool ReadLeafInto(storage::PageId page, TraversalScratch* scratch) const;
 
   storage::PageManager* pm_ = nullptr;
   Stats* stats_ = nullptr;

@@ -23,13 +23,10 @@ const char* TraversalModeName(TraversalMode m) {
 TraversalSession::TraversalSession(const RTree& tree,
                                    const TraversalSessionOptions& options,
                                    Stats* stats)
-    : tree_(tree), options_(options), stats_(stats) {
-  if (options_.leaf_memo_capacity == 0) options_.leaf_memo_capacity = 1;
-  const double frac = std::min(1.0, std::max(0.0, options_.protected_fraction));
-  protected_capacity_ =
-      std::min(options_.leaf_memo_capacity - 1,
-               static_cast<size_t>(frac * static_cast<double>(
-                                              options_.leaf_memo_capacity)));
+    : tree_(tree),
+      options_(options),
+      stats_(stats),
+      memo_(std::max<size_t>(1, options.leaf_memo_capacity)) {
   Reset();
 }
 
@@ -64,59 +61,26 @@ size_t TraversalSession::ExpandCutNode(size_t pos) {
   return first;
 }
 
-const std::vector<LeafEntry>& TraversalSession::GetLeaf(uint32_t leaf) {
-  auto it = memo_map_.find(leaf);
-  if (it != memo_map_.end()) {
+const std::vector<LeafEntry>* TraversalSession::GetLeaf(uint32_t leaf) {
+  if (const auto* hit = memo_.Lookup(leaf).value) {
     ++memo_hits_;
     if (stats_ != nullptr) stats_->Add(Ticker::kLeafMemoHits);
-    MemoSlot& slot = it->second;
-    if (slot.is_protected) {
-      memo_protected_.splice(memo_protected_.begin(), memo_protected_,
-                             slot.it);
-    } else if (protected_capacity_ > 0) {
-      // First re-reference promotes out of probation (scan resistance:
-      // one-touch leaves never displace the tile's working set).
-      memo_protected_.splice(memo_protected_.begin(), memo_probation_,
-                             slot.it);
-      slot.is_protected = true;
-      if (memo_protected_.size() > protected_capacity_) {
-        auto tail = std::prev(memo_protected_.end());
-        MemoSlot& demoted = memo_map_.at(tail->leaf);
-        memo_probation_.splice(memo_probation_.begin(), memo_protected_,
-                               tail);
-        demoted.is_protected = false;
-      }
-    } else {
-      memo_probation_.splice(memo_probation_.begin(), memo_probation_,
-                             slot.it);
-    }
-    return slot.it->entries;
+    return hit;
   }
 
   ++memo_misses_;
   if (stats_ != nullptr) stats_->Add(Ticker::kLeafMemoMisses);
+  std::vector<LeafEntry> entries;
+  Status read;
   {
     ScopedTimer t(&decode_seconds_);
-    if (!tree_.ReadLeaf(tree_.leaf_pages()[leaf], &decode_buf_).ok()) {
-      decode_buf_.clear();
-    }
+    read = tree_.ReadLeaf(tree_.leaf_pages()[leaf], &entries);
   }
-  memo_probation_.push_front({leaf, std::move(decode_buf_)});
-  decode_buf_ = {};
-  memo_map_[leaf] = {memo_probation_.begin(), false};
-  if (memo_map_.size() > options_.leaf_memo_capacity) {
-    // Evict the probationary LRU tail; if the fresh insert is the only
-    // probationary entry, trim the protected segment instead (it must be
-    // non-empty for the map to exceed capacity >= 1).
-    if (memo_probation_.size() > 1) {
-      memo_map_.erase(memo_probation_.back().leaf);
-      memo_probation_.pop_back();
-    } else {
-      memo_map_.erase(memo_protected_.back().leaf);
-      memo_protected_.pop_back();
-    }
+  if (!read.ok()) {
+    if (status_.ok()) status_ = std::move(read);
+    return nullptr;
   }
-  return memo_probation_.front().entries;
+  return memo_.Insert(leaf, std::move(entries)).first;
 }
 
 bool TraversalSession::PoolCovers(const geom::Point& q, double needed) const {
@@ -150,8 +114,9 @@ void TraversalSession::RebuildPool(const geom::Point& center, double radius) {
       ExpandCutNode(p);
     } else {
       if (leaf_mbrs[e.index].MinDist(center) > radius) continue;
-      const std::vector<LeafEntry>& entries = GetLeaf(e.index);
-      for (const LeafEntry& le : entries) {
+      const std::vector<LeafEntry>* entries = GetLeaf(e.index);
+      if (entries == nullptr) continue;
+      for (const LeafEntry& le : *entries) {
         // Squared-space dist_min(center) <= radius, with slack: the pool
         // may safely hold a few boundary extras (it is a superset
         // container; only the coverage LOWER bound matters), which buys
@@ -289,19 +254,21 @@ void TraversalSession::HeapKNearest(const geom::Point& q, int k,
         break;
       }
       case kLeafPage: {
-        const std::vector<LeafEntry>& entries = GetLeaf(item.index);
-        for (size_t pos = 0; pos < entries.size(); ++pos) {
-          const double key = entries[pos].mbc.DistMin(q);
+        const std::vector<LeafEntry>* entries = GetLeaf(item.index);
+        if (entries == nullptr) break;
+        for (size_t pos = 0; pos < entries->size(); ++pos) {
+          const double key = (*entries)[pos].mbc.DistMin(q);
           if (key > bound) continue;
-          heap_.push_back({key, item.index, entries[pos].id,
+          heap_.push_back({key, item.index, (*entries)[pos].id,
                            static_cast<uint32_t>(pos), kEntry});
           std::push_heap(heap_.begin(), heap_.end(), worse);
         }
         break;
       }
       default: {  // kEntry: resolve through the memo (re-decodes if evicted)
-        const std::vector<LeafEntry>& entries = GetLeaf(item.index);
-        out->push_back(entries[item.pos]);
+        const std::vector<LeafEntry>* entries = GetLeaf(item.index);
+        if (entries == nullptr) break;
+        out->push_back((*entries)[item.pos]);
         last_key = item.key;
         break;
       }

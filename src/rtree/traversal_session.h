@@ -13,10 +13,11 @@
 //   * Previous-anchor bound — dist_min is 1-Lipschitz in the query point,
 //     so B = prev_kth_dist + |q - q_prev| upper-bounds the current k-th
 //     distance and cut elements with MinDist(q) > B are skipped outright.
-//   * Decoded-leaf memo — a segmented LRU (the admission policy of
-//     query::QueryCache, single-threaded here) over DecodeLeafEntries
+//   * Decoded-leaf memo — the segmented-LRU policy core
+//     (common/segmented_lru.h, single-threaded here) over DecodeLeafEntries
 //     output, so each leaf page is decoded at most once per tile sweep
-//     instead of once per anchor.
+//     instead of once per anchor. A failed leaf read is never memoized:
+//     it becomes the session's sticky status().
 //   * Entry pool — a materialized superset ball: every entry whose
 //     dist_min to pool_center_ is <= pool_radius_. While consecutive
 //     anchors stay inside the ball (dist_min is 1-Lipschitz in the query
@@ -38,11 +39,11 @@
 #define UVD_RTREE_TRAVERSAL_SESSION_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "common/segmented_lru.h"
 #include "common/stats.h"
+#include "common/status.h"
 #include "geom/point.h"
 #include "rtree/leaf_codec.h"
 #include "rtree/rtree.h"
@@ -66,9 +67,6 @@ struct TraversalSessionOptions {
   /// every leaf of a 25K-object tree; smaller values trade decode repeats
   /// for memory (one leaf ~ fanout * sizeof(LeafEntry) ~ 5.6 KB).
   size_t leaf_memo_capacity = 256;
-  /// Fraction of the memo reserved for re-referenced leaves (see
-  /// query::QueryCache). 0 disables the protected segment (plain LRU).
-  double protected_fraction = 0.8;
   /// Slack factor on the entry pool's radius beyond the radius the
   /// triggering query needs. Larger values rebuild less often but make
   /// every per-anchor pool scan proportionally longer (pool area grows
@@ -100,9 +98,13 @@ class TraversalSession {
   /// bound. The leaf memo survives (capacity-bounded either way).
   void Reset();
 
+  /// The first leaf-read failure, sticky; OK when none. Once it is set,
+  /// query results may be incomplete.
+  const Status& status() const { return status_; }
+
   size_t memo_hits() const { return memo_hits_; }
   size_t memo_misses() const { return memo_misses_; }
-  size_t memo_size() const { return memo_map_.size(); }
+  size_t memo_size() const { return memo_.size(); }
   /// Live (non-tombstoned) cut elements.
   size_t cut_size() const { return cut_.size() - cut_dead_; }
   /// Wall seconds spent decoding leaf pages (memo misses).
@@ -143,18 +145,10 @@ class TraversalSession {
     }
   };
 
-  struct MemoEntry {
-    uint32_t leaf;
-    std::vector<LeafEntry> entries;
-  };
-  struct MemoSlot {
-    std::list<MemoEntry>::iterator it;
-    bool is_protected;
-  };
-
-  /// Decoded entries of `leaf`, via the memo. The reference is valid until
-  /// the next GetLeaf call (which may evict it).
-  const std::vector<LeafEntry>& GetLeaf(uint32_t leaf);
+  /// Decoded entries of `leaf`, via the memo; nullptr when the read fails
+  /// (recorded in status_). The pointer is valid until the next GetLeaf
+  /// call (which may evict it).
+  const std::vector<LeafEntry>* GetLeaf(uint32_t leaf);
 
   /// Tombstones cut_[pos] and appends the node's children to the cut.
   /// Returns the position of the first appended child.
@@ -216,14 +210,8 @@ class TraversalSession {
   int prev_k_ = 0;
   bool prev_valid_ = false;
 
-  // Segmented-LRU decoded-leaf memo (query_cache.h's policy, lock-free
-  // single-owner edition). Most-recently-used at the front of each list;
-  // the map is never iterated (scripts/check_determinism.py).
-  size_t protected_capacity_ = 0;
-  std::list<MemoEntry> memo_probation_;
-  std::list<MemoEntry> memo_protected_;
-  std::unordered_map<uint32_t, MemoSlot> memo_map_;
-  std::vector<LeafEntry> decode_buf_;
+  SegmentedLru<uint32_t, std::vector<LeafEntry>> memo_;
+  Status status_;
   size_t memo_hits_ = 0;
   size_t memo_misses_ = 0;
   double decode_seconds_ = 0.0;

@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 namespace uvd {
@@ -9,21 +8,10 @@ namespace storage {
 
 BufferPool::BufferPool(const BufferPoolOptions& options, size_t page_size,
                        Backing backing, Stats* stats)
-    : capacity_(options.capacity_pages),
-      // Unbounded pools never evict, so segmentation is moot; bounded ones
-      // keep at least one probationary slot (same guard as QueryCache: a
-      // fully-protected pool would evict each incoming page immediately).
-      protected_capacity_(
-          capacity_ == 0
-              ? 0
-              : std::min(capacity_ - 1,
-                         static_cast<size_t>(
-                             std::min(1.0, std::max(
-                                               0.0, options.protected_fraction)) *
-                             static_cast<double>(capacity_)))),
-      page_size_(page_size),
+    : page_size_(page_size),
       backing_(std::move(backing)),
-      stats_(stats) {}
+      stats_(stats),
+      lru_(options.capacity_pages) {}
 
 BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& other) noexcept {
   if (this == &other) return *this;
@@ -42,29 +30,12 @@ BufferPool::PageRef::~PageRef() {
 Result<BufferPool::PageRef> BufferPool::Pin(PageId id) {
   {
     MutexLock lock(mu_);
-    auto it = map_.find(id);
-    if (it != map_.end()) {
+    BufferPoolFrame* frame = lru_.Lookup(id).value;
+    if (frame != nullptr) {
       ++hits_;
       if (stats_ != nullptr) stats_->Add(Ticker::kBufferPoolHits);
-      auto frame_it = it->second;
-      if (frame_it->is_protected) {
-        protected_.splice(protected_.begin(), protected_, frame_it);
-      } else if (protected_capacity_ > 0) {
-        // First re-reference: promote. A full protected segment demotes
-        // its LRU tail back to the probationary front (one more chance
-        // before scan traffic can evict it).
-        protected_.splice(protected_.begin(), probationary_, frame_it);
-        frame_it->is_protected = true;
-        if (protected_.size() > protected_capacity_) {
-          auto demoted = std::prev(protected_.end());
-          demoted->is_protected = false;
-          probationary_.splice(probationary_.begin(), protected_, demoted);
-        }
-      } else {
-        probationary_.splice(probationary_.begin(), probationary_, frame_it);
-      }
-      ++frame_it->pins;
-      return PageRef(this, &*frame_it);
+      ++frame->pins;
+      return PageRef(this, frame);
     }
   }
 
@@ -76,22 +47,17 @@ Result<BufferPool::PageRef> BufferPool::Pin(PageId id) {
   MutexLock lock(mu_);
   ++misses_;
   if (stats_ != nullptr) stats_->Add(Ticker::kBufferPoolMisses);
-  auto it = map_.find(id);
-  if (it != map_.end()) {
-    // A concurrent miss won the insertion race; adopt its frame (the
-    // bytes are identical — the backing is read-only under concurrency).
-    auto frame_it = it->second;
-    ++frame_it->pins;
-    return PageRef(this, &*frame_it);
+  // A concurrent miss may have won the insertion race; Insert then adopts
+  // its frame (the bytes are identical — the backing is read-only under
+  // concurrency).
+  const uint64_t evictions_before = lru_.evictions();
+  BufferPoolFrame* frame = lru_.Insert(id, BufferPoolFrame{std::move(data), 0}).first;
+  const uint64_t evicted = lru_.evictions() - evictions_before;
+  if (stats_ != nullptr && evicted != 0) {
+    stats_->Add(Ticker::kBufferPoolEvictions, evicted);
   }
-  probationary_.push_front(BufferPoolFrame{});
-  auto frame_it = probationary_.begin();
-  frame_it->id = id;
-  frame_it->data = std::move(data);
-  frame_it->pins = 1;
-  map_[id] = frame_it;
-  EvictToCapacity();
-  return PageRef(this, &*frame_it);
+  ++frame->pins;
+  return PageRef(this, frame);
 }
 
 Status BufferPool::Read(PageId id, std::vector<uint8_t>* out) {
@@ -104,94 +70,44 @@ Status BufferPool::Read(PageId id, std::vector<uint8_t>* out) {
 
 void BufferPool::Put(PageId id, const std::vector<uint8_t>& data) {
   MutexLock lock(mu_);
-  auto it = map_.find(id);
-  if (it == map_.end()) return;
-  BufferPoolFrame& frame = *it->second;
-  const size_t n = std::min(data.size(), frame.data.size());
+  BufferPoolFrame* frame = lru_.Peek(id);
+  if (frame == nullptr) return;
+  const size_t n = std::min(data.size(), frame->data.size());
   std::copy(data.begin(), data.begin() + static_cast<long>(n),
-            frame.data.begin());
-  std::fill(frame.data.begin() + static_cast<long>(n), frame.data.end(), 0);
+            frame->data.begin());
+  std::fill(frame->data.begin() + static_cast<long>(n), frame->data.end(), 0);
 }
 
 void BufferPool::Invalidate(PageId id) {
   MutexLock lock(mu_);
-  auto it = map_.find(id);
-  if (it == map_.end()) return;
-  auto frame_it = it->second;
-  map_.erase(it);
-  ++invalidations_;
-  std::list<BufferPoolFrame>& src =
-      frame_it->is_protected ? protected_ : probationary_;
-  if (frame_it->pins == 0) {
-    src.erase(frame_it);
-  } else {
-    frame_it->doomed = true;
-    doomed_.splice(doomed_.begin(), src, frame_it);
-  }
+  lru_.Erase(id, &doomed_);
 }
 
 void BufferPool::Clear() {
   MutexLock lock(mu_);
-  invalidations_ += map_.size();
-  map_.clear();
-  for (std::list<BufferPoolFrame>* list : {&probationary_, &protected_}) {
-    for (auto it = list->begin(); it != list->end();) {
-      auto next = std::next(it);
-      if (it->pins == 0) {
-        list->erase(it);
-      } else {
-        it->doomed = true;
-        doomed_.splice(doomed_.begin(), *list, it);
-      }
-      it = next;
-    }
-  }
+  lru_.Clear(&doomed_);
 }
 
 void BufferPool::Unpin(BufferPoolFrame* frame) {
   MutexLock lock(mu_);
-  --frame->pins;
-  if (frame->doomed && frame->pins == 0) {
-    for (auto it = doomed_.begin(); it != doomed_.end(); ++it) {
-      if (&*it == frame) {
-        doomed_.erase(it);
-        break;
-      }
-    }
+  if (--frame->pins == 0 && !doomed_.empty()) {
+    doomed_.remove_if([frame](const Lru::Node& node) { return &node.value == frame; });
   }
 }
 
-void BufferPool::EvictToCapacity() {
-  if (capacity_ == 0) return;
-  while (map_.size() > capacity_) {
-    bool evicted = false;
-    // Probationary LRU tail first (scan resistance), then the protected
-    // tail; pinned frames are skipped — they cannot be freed.
-    for (std::list<BufferPoolFrame>* list : {&probationary_, &protected_}) {
-      for (auto it = list->rbegin(); it != list->rend(); ++it) {
-        if (it->pins != 0) continue;
-        auto victim = std::next(it).base();
-        map_.erase(victim->id);
-        list->erase(victim);
-        ++evictions_;
-        if (stats_ != nullptr) stats_->Add(Ticker::kBufferPoolEvictions);
-        evicted = true;
-        break;
-      }
-      if (evicted) break;
-    }
-    if (!evicted) break;  // every frame pinned: transient overflow
-  }
+size_t BufferPool::capacity_pages() const {
+  MutexLock lock(mu_);
+  return lru_.capacity();
 }
 
 size_t BufferPool::size() const {
   MutexLock lock(mu_);
-  return map_.size();
+  return lru_.size();
 }
 
 size_t BufferPool::protected_size() const {
   MutexLock lock(mu_);
-  return protected_.size();
+  return lru_.protected_size();
 }
 
 uint64_t BufferPool::hits() const {
@@ -206,12 +122,12 @@ uint64_t BufferPool::misses() const {
 
 uint64_t BufferPool::evictions() const {
   MutexLock lock(mu_);
-  return evictions_;
+  return lru_.evictions();
 }
 
 uint64_t BufferPool::invalidations() const {
   MutexLock lock(mu_);
-  return invalidations_;
+  return lru_.erasures();
 }
 
 }  // namespace storage

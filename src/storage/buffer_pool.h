@@ -1,22 +1,18 @@
-// Fixed-capacity page buffer pool with pin/unpin lifetimes and the same
-// segmented-LRU (probationary/protected) admission policy QueryCache uses
-// for decoded leaves — generalized down to raw pages so FilePageManager
-// can keep a hot working set in RAM while the index itself lives in a
-// checksummed paged file. New pages enter probationary on their first
-// load; a re-reference promotes them to the protected segment; eviction
-// always takes the probationary LRU tail first, so a one-pass scan (a
-// cold-start bulk read, a full-index digest) cannot flush a query working
-// set that has been referenced twice.
+// Fixed-capacity page buffer pool with pin/unpin lifetimes over the
+// segmented-LRU policy core (common/segmented_lru.h) that QueryCache uses
+// for decoded leaves, so FilePageManager can keep a hot working set in RAM
+// while the index itself lives in a checksummed paged file. A one-pass
+// scan (a cold-start bulk read, a full-index digest) cannot flush a query
+// working set that has been referenced twice.
 #ifndef UVD_STORAGE_BUFFER_POOL_H_
 #define UVD_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "common/segmented_lru.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -32,20 +28,14 @@ struct BufferPoolOptions {
   /// evicted, so the pool can transiently exceed the capacity when more
   /// than `capacity_pages` frames are pinned at once.
   size_t capacity_pages = 0;
-  /// Fraction of the capacity reserved for the protected (re-referenced)
-  /// segment; 0 degenerates to plain LRU. Same knob and semantics as
-  /// QueryCacheOptions::protected_fraction.
-  double protected_fraction = 0.8;
 };
 
-/// One resident page. Lives in a list node so its address is stable across
-/// LRU splices; BufferPool::PageRef holds a raw pointer to it.
+/// One resident page. Lives in a list node of the policy core, so its
+/// address is stable across LRU splices; BufferPool::PageRef holds a raw
+/// pointer to it.
 struct BufferPoolFrame {
-  PageId id = kInvalidPageId;
   std::vector<uint8_t> data;
   int pins = 0;
-  bool is_protected = false;
-  bool doomed = false;  // invalidated while pinned; freed at last unpin
 };
 
 /// \brief Pinnable segmented-LRU cache of page payloads over a backing
@@ -124,7 +114,7 @@ class BufferPool {
   /// Invalidates every resident page.
   void Clear();
 
-  size_t capacity_pages() const { return capacity_; }
+  size_t capacity_pages() const;
   size_t size() const;            ///< Resident (mapped) frames.
   size_t protected_size() const;  ///< Frames in the protected segment.
   uint64_t hits() const;
@@ -133,30 +123,23 @@ class BufferPool {
   uint64_t invalidations() const;
 
  private:
-  void Unpin(BufferPoolFrame* frame);
-  /// Evicts unpinned frames (probationary tail first, then protected
-  /// tail) until the mapped size fits the capacity. No-op when unbounded.
-  void EvictToCapacity() UVD_REQUIRES(mu_);
+  struct FramePinned {
+    bool operator()(const BufferPoolFrame& frame) const { return frame.pins != 0; }
+  };
+  using Lru = SegmentedLru<PageId, BufferPoolFrame, FramePinned>;
 
-  const size_t capacity_;            // 0 = unbounded
-  const size_t protected_capacity_;  // <= capacity_ (0 when unbounded/plain)
+  void Unpin(BufferPoolFrame* frame);
+
   const size_t page_size_;
   const Backing backing_;
   Stats* const stats_;
 
   mutable Mutex mu_;
-  // Both lists keep MRU at the front. The map is never iterated
-  // (unordered iteration order is not deterministic —
-  // scripts/check_determinism.py enforces this).
-  std::list<BufferPoolFrame> probationary_ UVD_GUARDED_BY(mu_);
-  std::list<BufferPoolFrame> protected_ UVD_GUARDED_BY(mu_);
-  std::unordered_map<PageId, std::list<BufferPoolFrame>::iterator> map_
-      UVD_GUARDED_BY(mu_);
-  std::list<BufferPoolFrame> doomed_ UVD_GUARDED_BY(mu_);  // unmapped, pinned
+  Lru lru_ UVD_GUARDED_BY(mu_);
+  // Unmapped frames still pinned, freed at their last unpin.
+  Lru::List doomed_ UVD_GUARDED_BY(mu_);
   uint64_t hits_ UVD_GUARDED_BY(mu_) = 0;
   uint64_t misses_ UVD_GUARDED_BY(mu_) = 0;
-  uint64_t evictions_ UVD_GUARDED_BY(mu_) = 0;
-  uint64_t invalidations_ UVD_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace storage

@@ -23,8 +23,7 @@ namespace storage {
 
 struct FilePageManagerOptions {
   /// Buffer pool capacity in pages. 0 disables the pool entirely (every
-  /// read goes to the file); nonzero bounds the resident set. The pool
-  /// keeps BufferPoolOptions' default protected fraction.
+  /// read goes to the file); nonzero bounds the resident set.
   size_t buffer_pool_pages = 0;
 };
 

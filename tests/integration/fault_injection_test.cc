@@ -117,6 +117,38 @@ TEST(FaultInjectionTest, ObjectStoreFetchPropagates) {
   EXPECT_EQ(f.store.Fetch(f.ptrs[0]).status().code(), StatusCode::kIOError);
 }
 
+TEST(FaultInjectionTest, BuildPropagatesLeafReadFault) {
+  // Stage 1 reads R-tree leaves through the faulty manager. A failed leaf
+  // read must fail the build, never yield an index with missing cr-objects,
+  // and once healed the same store must build the clean bytes. Each index
+  // gets its own page manager so page ids line up across builds.
+  Fixture f;
+  f.Build();
+  for (rtree::TraversalMode mode :
+       {rtree::TraversalMode::kShared, rtree::TraversalMode::kPerAnchor}) {
+    SCOPED_TRACE(rtree::TraversalModeName(mode));
+    core::BuildPipelineOptions options;
+    options.build_threads = 1;  // the fault injector's countdown is not thread-safe
+    options.traversal_mode = mode;
+    const auto build = [&](storage::PageManager* index_pm, std::vector<uint8_t>* bytes) {
+      core::UVIndex index(f.domain, index_pm, core::UVIndexOptions{}, &f.stats);
+      UVD_RETURN_NOT_OK(core::RunBuildPipeline(f.objects, f.ptrs, *f.tree, f.domain,
+                                               options, &index, nullptr, &f.stats));
+      return index.SerializeStructure(bytes);
+    };
+    storage::PageManager clean_pm(4096), broken_pm(4096), healed_pm(4096);
+    std::vector<uint8_t> clean, broken, healed;
+    ASSERT_TRUE(build(&clean_pm, &clean).ok());
+
+    f.pm.FailReadsAfter(0);
+    EXPECT_EQ(build(&broken_pm, &broken).code(), StatusCode::kIOError);
+    f.pm.Heal();
+
+    ASSERT_TRUE(build(&healed_pm, &healed).ok());
+    EXPECT_EQ(healed, clean);
+  }
+}
+
 TEST(FaultInjectionTest, FinalizePropagatesWriteFault) {
   storage::FaultInjectionPageManager pm(4096);
   core::UVIndex index(geom::Box({0, 0}, {1000, 1000}), &pm, {}, nullptr);

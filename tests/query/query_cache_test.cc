@@ -1,6 +1,7 @@
 // Unit tests for the sharded LRU cell cache: hit/miss accounting, bounded
-// capacity with LRU eviction, Clear, error pass-through, and concurrent
-// access (the TSan job runs this binary).
+// capacity with LRU eviction, Clear, error pass-through, promotion/demotion
+// billing, and concurrent access (the TSan job runs this binary). The
+// admission policy itself is tested in tests/common/segmented_lru_test.cc.
 #include "query/query_cache.h"
 
 #include <gtest/gtest.h>
@@ -94,7 +95,6 @@ TEST(QueryCacheTest, ScanCannotEvictProtectedWorkingSet) {
   QueryCacheOptions opts;
   opts.capacity = 8;
   opts.shards = 1;
-  opts.protected_fraction = 0.5;
   QueryCache cache(opts);
   Stats stats;
   for (uint32_t leaf = 0; leaf < 4; ++leaf) {
@@ -121,9 +121,8 @@ TEST(QueryCacheTest, ScanCannotEvictProtectedWorkingSet) {
 
 TEST(QueryCacheTest, ProtectedOverflowDemotesLru) {
   QueryCacheOptions opts;
-  opts.capacity = 8;
+  opts.capacity = 3;  // protected segment holds min(3 - 1, floor(0.8 * 3)) = 2
   opts.shards = 1;
-  opts.protected_fraction = 0.25;  // protected segment holds 2
   QueryCache cache(opts);
   Stats stats;
   for (uint32_t leaf = 0; leaf < 3; ++leaf) {
@@ -138,50 +137,6 @@ TEST(QueryCacheTest, ProtectedOverflowDemotesLru) {
   int calls = 0;
   ASSERT_TRUE(cache.GetOrLoad(0, LoaderFor(0, &calls), &stats).ok());
   EXPECT_EQ(calls, 0);
-}
-
-TEST(QueryCacheTest, FullProtectedFractionKeepsOneProbationarySlot) {
-  // protected_fraction = 1.0 must not freeze the cache: a probationary
-  // slot always survives, so new leaves can still be admitted and
-  // promoted after the first working set fills the protected segment.
-  QueryCacheOptions opts;
-  opts.capacity = 4;
-  opts.shards = 1;
-  opts.protected_fraction = 1.0;
-  QueryCache cache(opts);
-  Stats stats;
-  for (uint32_t leaf = 0; leaf < 4; ++leaf) {
-    ASSERT_TRUE(cache.GetOrLoad(leaf, LoaderFor(static_cast<int>(leaf)), &stats).ok());
-    ASSERT_TRUE(cache.GetOrLoad(leaf, LoaderFor(static_cast<int>(leaf)), &stats).ok());
-  }
-  EXPECT_LE(cache.protected_size(), 3u);
-  // A shifted working set can still be admitted and promoted.
-  int calls = 0;
-  ASSERT_TRUE(cache.GetOrLoad(99, LoaderFor(99, &calls), &stats).ok());
-  ASSERT_TRUE(cache.GetOrLoad(99, LoaderFor(99, &calls), &stats).ok());
-  EXPECT_EQ(calls, 1);  // second access is a hit, not a self-evicted miss
-}
-
-TEST(QueryCacheTest, ZeroProtectedFractionIsPlainLru) {
-  QueryCacheOptions opts;
-  opts.capacity = 4;
-  opts.shards = 1;
-  opts.protected_fraction = 0.0;
-  QueryCache cache(opts);
-  Stats stats;
-  for (uint32_t leaf = 0; leaf < 4; ++leaf) {
-    ASSERT_TRUE(cache.GetOrLoad(leaf, LoaderFor(static_cast<int>(leaf)), &stats).ok());
-    ASSERT_TRUE(cache.GetOrLoad(leaf, LoaderFor(static_cast<int>(leaf)), &stats).ok());
-  }
-  EXPECT_EQ(stats.Get(Ticker::kQueryCachePromotions), 0u);
-  EXPECT_EQ(cache.protected_size(), 0u);
-  // Plain LRU: a scan now evicts the re-referenced set too.
-  for (uint32_t leaf = 100; leaf < 104; ++leaf) {
-    ASSERT_TRUE(cache.GetOrLoad(leaf, LoaderFor(static_cast<int>(leaf)), &stats).ok());
-  }
-  int calls = 0;
-  ASSERT_TRUE(cache.GetOrLoad(0, LoaderFor(0, &calls), &stats).ok());
-  EXPECT_EQ(calls, 1);
 }
 
 TEST(QueryCacheTest, ConcurrentMixedLookupsAreSafe) {

@@ -51,7 +51,6 @@ struct Harness {
   BufferPool MakePool(size_t capacity) {
     BufferPoolOptions options;
     options.capacity_pages = capacity;
-    options.protected_fraction = 0.5;
     return BufferPool(options, kPageSize,
                       [this](PageId id, std::vector<uint8_t>* out) {
                         return oracle.Read(id, out);

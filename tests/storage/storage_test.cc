@@ -76,11 +76,9 @@ TEST(PageManagerTest, OverwriteClearsOldData) {
 
 // Wires a pool's miss path to a PageManager (the arrangement
 // FilePageManager uses with its file).
-BufferPool MakePool(PageManager* pm, size_t capacity, Stats* stats,
-                    double protected_fraction = 0.0) {
+BufferPool MakePool(PageManager* pm, size_t capacity, Stats* stats) {
   BufferPoolOptions options;
   options.capacity_pages = capacity;
-  options.protected_fraction = protected_fraction;
   return BufferPool(
       options, pm->page_size(),
       [pm](PageId id, std::vector<uint8_t>* out) { return pm->Read(id, out); },
@@ -184,7 +182,7 @@ TEST(BufferPoolTest, ProtectedSegmentResistsScan) {
   PageManager pm(64, &stats);
   std::vector<PageId> pages;
   for (int i = 0; i < 12; ++i) pages.push_back(pm.Allocate());
-  BufferPool pool = MakePool(&pm, 4, &stats, /*protected_fraction=*/0.5);
+  BufferPool pool = MakePool(&pm, 4, &stats);
   std::vector<uint8_t> out;
   // Reference pages 0 and 1 twice: they join the protected segment.
   for (int round = 0; round < 2; ++round) {
