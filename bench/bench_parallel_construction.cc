@@ -7,19 +7,22 @@
 //   threads        — stage 1 fans out per object; stage 2 (quad-tree
 //                    insertion) runs domain-partitioned with a canonical
 //                    stitch (core/uv_index.h).
-//   kernel_mode    — scalar: the reference per-candidate loops;
+//   kernel         — scalar: the reference per-candidate loops;
 //                    batch: the SoA kernels of geom/batch/ (envelope
 //                    prefilter, squared-distance C-pruning, batched
 //                    4-point test), optionally SIMD (UVD_ENABLE_SIMD).
-//   traversal_mode — per_anchor: every anchor restarts the R-tree k-NN /
+//   traversal      — per_anchor: every anchor restarts the R-tree k-NN /
 //                    range query from the root (the traversal oracle);
 //                    shared: Morton-tiled anchors reuse a per-worker
 //                    rtree::TraversalSession (shared frontier,
 //                    previous-anchor bound, decoded-leaf memo).
 //
-// Every cell builds a byte-identical index; `--determinism-check` proves
-// it by building the example index across thread counts, frontier depths,
-// kernel modes AND traversal modes/tile sizes, diffing serialized digests
+// The kernel switches are CrFinderOptions::kernel_mode (stage 1) and
+// UVIndexOptions::kernel_mode (stage 2); the traversal switch is
+// CrFinderOptions::traversal_mode. Every cell builds a byte-identical
+// index; `--determinism-check` proves it by building the example index
+// across thread counts, frontier depths, kernels AND traversals, diffing
+// serialized digests
 // against the serial build (the CI cross-check step and a ctest smoke run
 // exactly that; exits non-zero on any mismatch).
 //
@@ -53,7 +56,7 @@ std::vector<uint8_t> SerializedIndex(const uvd::core::UVDiagram& d) {
 }
 
 /// Builds the example dataset at every (threads, depth, kernel,
-/// traversal, tile) combination and compares serialized digests against
+/// traversal) combination and compares serialized digests against
 /// the serial build. Returns the number of mismatches (0 = deterministic).
 int RunDeterminismCheck() {
   using namespace uvd;
@@ -65,8 +68,9 @@ int RunDeterminismCheck() {
 
   core::UVDiagramOptions serial_options;
   serial_options.build_threads = 1;
-  serial_options.kernel_mode = geom::KernelMode::kScalar;
-  serial_options.traversal_mode = rtree::TraversalMode::kPerAnchor;
+  serial_options.cr.kernel_mode = geom::KernelMode::kScalar;
+  serial_options.index.kernel_mode = geom::KernelMode::kScalar;
+  serial_options.cr.traversal_mode = rtree::TraversalMode::kPerAnchor;
   const auto serial =
       core::UVDiagram::Build(objects, domain, serial_options).ValueOrDie();
   const uint64_t serial_digest = Fnv1a(SerializedIndex(serial));
@@ -75,41 +79,38 @@ int RunDeterminismCheck() {
 
   int mismatches = 0;
   const auto check = [&](int threads, int depth, geom::KernelMode kernel,
-                         rtree::TraversalMode traversal, int tile) {
+                         rtree::TraversalMode traversal) {
     core::UVDiagramOptions options;
     options.build_threads = threads;
     options.stage2_max_depth = depth;
-    options.kernel_mode = kernel;
-    options.traversal_mode = traversal;
-    options.traversal_tile_size = tile;
+    options.cr.kernel_mode = kernel;
+    options.index.kernel_mode = kernel;
+    options.cr.traversal_mode = traversal;
     const auto d = core::UVDiagram::Build(objects, domain, options).ValueOrDie();
     const uint64_t digest = Fnv1a(SerializedIndex(d));
     const bool ok = digest == serial_digest;
     std::printf(
-        "threads=%d depth=%d kernel=%-6s traversal=%-10s tile=%-3d "
+        "threads=%d depth=%d kernel=%-6s traversal=%-10s "
         "digest %016llx  %s\n",
         threads, depth, geom::KernelModeName(kernel),
-        rtree::TraversalModeName(traversal), tile,
+        rtree::TraversalModeName(traversal),
         static_cast<unsigned long long>(digest), ok ? "OK" : "MISMATCH");
     if (!ok) ++mismatches;
   };
   for (int threads : {2, 4, 8}) {
     for (geom::KernelMode kernel :
          {geom::KernelMode::kScalar, geom::KernelMode::kBatch}) {
-      check(threads, 2, kernel, rtree::TraversalMode::kShared, 64);
+      check(threads, 2, kernel, rtree::TraversalMode::kShared);
     }
     for (int depth : {1, 3}) {
-      check(threads, depth, geom::KernelMode::kBatch, rtree::TraversalMode::kShared, 64);
+      check(threads, depth, geom::KernelMode::kBatch, rtree::TraversalMode::kShared);
     }
   }
-  // Traversal axis: per-anchor and shared across tile sizes (1 exercises
-  // degenerate single-anchor tiles, 7 exercises tail tiles at 800 % 7 != 0,
-  // 256 exercises multi-leaf working sets) on 1 and 8 workers.
+  // Traversal axis: per-anchor and shared on 1 and 8 workers (800 anchors
+  // leave a ragged last Morton tile of 800 % 64 = 32).
   for (int threads : {1, 8}) {
-    check(threads, 2, geom::KernelMode::kBatch, rtree::TraversalMode::kPerAnchor, 64);
-    for (int tile : {1, 7, 64, 256}) {
-      check(threads, 2, geom::KernelMode::kBatch, rtree::TraversalMode::kShared, tile);
-    }
+    check(threads, 2, geom::KernelMode::kBatch, rtree::TraversalMode::kPerAnchor);
+    check(threads, 2, geom::KernelMode::kBatch, rtree::TraversalMode::kShared);
   }
   if (mismatches == 0) {
     std::printf("determinism check PASSED: every build serialized identically\n");
@@ -140,7 +141,7 @@ int RunTraversalSmoke() {
     core::UVDiagramOptions options;
     options.method = core::BuildMethod::kICR;
     options.build_threads = 1;
-    options.traversal_mode = modes[m];
+    options.cr.traversal_mode = modes[m];
     const auto d =
         core::UVDiagram::Build(objects, domain, options, &stats).ValueOrDie();
     digests[m] = Fnv1a(SerializedIndex(d));
@@ -191,11 +192,19 @@ int main(int argc, char** argv) {
 
   bench::PrintBanner("Parallel construction: T_c vs threads, kernel, traversal",
                      "staged pipeline over the Fig. 7(a) workload");
-  std::printf("hardware concurrency: %d\n", ThreadPool::DefaultThreads());
+  const int nproc = ThreadPool::DefaultThreads();
+  std::printf("hardware concurrency: %d\n", nproc);
   std::printf("batch kernels: %s (SIMD %s)\n\n", geom::batch::SimdIsa(),
               geom::batch::SimdEnabled() ? "on" : "off");
 
-  const int thread_sweep[] = {1, 8};
+  // {1, 2, 4, nproc}, capped at nproc: more workers than cores would only
+  // measure oversubscription.
+  std::vector<int> thread_sweep;
+  for (int threads : {1, 2, 4, nproc}) {
+    if (threads <= nproc && (thread_sweep.empty() || threads > thread_sweep.back())) {
+      thread_sweep.push_back(threads);
+    }
+  }
   const core::BuildMethod methods[] = {core::BuildMethod::kBasic,
                                        core::BuildMethod::kICR,
                                        core::BuildMethod::kIC};
@@ -238,8 +247,7 @@ int main(int argc, char** argv) {
           core::UVDiagramOptions options;
           options.method = method;
           options.build_threads = threads;
-          options.kernel_mode = geom::KernelMode::kBatch;
-          options.traversal_mode = traversals[t];
+          options.cr.traversal_mode = traversals[t];
           auto diagram = bench::BuildDiagram(objects, datagen::DomainFor(opts),
                                              options, &stats);
           const core::BuildStats& bs = diagram.build_stats();
@@ -283,8 +291,8 @@ int main(int argc, char** argv) {
   std::printf(
       "Every cell builds a byte-identical index (rtree/traversal_session.h,\n"
       "geom/batch/kernels.h); run with --determinism-check to verify digests\n"
-      "across thread counts, frontier depths, kernel modes and traversal\n"
-      "modes/tile sizes. The shared columns reuse a per-worker traversal\n"
+      "across thread counts, frontier depths, kernels and traversals.\n"
+      "The shared columns reuse a per-worker traversal\n"
       "session over Morton-ordered anchor tiles with the per-anchor columns\n"
       "as their oracle; descent/decode/kernel split stage-1 CPU seconds by\n"
       "phase (tree descent vs leaf decode vs pruning kernels).\n");

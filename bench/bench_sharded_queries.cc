@@ -16,8 +16,8 @@
 // persist per-query latency percentiles through BOTH serving paths — the
 // unsharded QueryEngine and the ShardRouter per shard count (exact
 // cross-shard MergedKindLatency) — with the final configuration's full
-// MetricsRegistry snapshot embedded. BENCH_query_latency.json at the repo
-// root is this bench's committed output.
+// MetricsRegistry snapshot embedded. The committed perf record is
+// e2ebench/baseline.json, which times real rather than simulated I/O.
 #include <string>
 #include <vector>
 

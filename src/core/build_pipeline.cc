@@ -28,26 +28,20 @@ const char* BuildMethodName(BuildMethod m) {
 
 namespace {
 
-/// Finder options with the pipeline's kernel_mode knob applied.
-CrFinderOptions FinderOptions(const BuildPipelineOptions& options) {
-  CrFinderOptions cr = options.cr;
-  cr.kernel_mode = options.kernel_mode;
-  return cr;
-}
+/// Anchors per Morton tile of the parallel kShared sweep: how often workers
+/// touch the shared claim counter vs. how evenly tiles balance. Any value
+/// yields byte-identical output.
+constexpr size_t kTraversalTileSize = 64;
 
 /// Per-worker Algorithm 2 workspace: always carries reusable buffers; under
-/// TraversalMode::kShared additionally owns the worker's TraversalSession
-/// (billing memo/visit tickers to the worker's Stats shard).
-CrFinderWorkspace MakeWorkspace(const rtree::RTree& tree,
-                                const BuildPipelineOptions& options,
+/// CrFinderOptions::traversal_mode kShared additionally owns the worker's
+/// TraversalSession (billing memo/visit tickers to the worker's Stats shard).
+CrFinderWorkspace MakeWorkspace(const rtree::RTree& tree, const CrFinderOptions& cr,
                                 Stats* stats) {
   CrFinderWorkspace ws;
-  if (options.traversal_mode == rtree::TraversalMode::kShared) {
-    rtree::TraversalSessionOptions sopts;
-    if (options.leaf_memo_capacity > 0) {
-      sopts.leaf_memo_capacity = static_cast<size_t>(options.leaf_memo_capacity);
-    }
-    ws.session = std::make_unique<rtree::TraversalSession>(tree, sopts, stats);
+  if (cr.traversal_mode == rtree::TraversalMode::kShared) {
+    ws.session = std::make_unique<rtree::TraversalSession>(
+        tree, rtree::TraversalSessionOptions{}, stats);
   }
   return ws;
 }
@@ -125,13 +119,13 @@ struct StageResult {
 StageResult RunObjectStage(const std::vector<uncertain::UncertainObject>& objects,
                            const CrObjectFinder& finder, size_t i,
                            const geom::Box& domain, BuildMethod method,
-                           double denom, geom::KernelMode kernel_mode,
+                           double denom, geom::KernelMode kernel,
                            Stats* stats, CrFinderWorkspace* ws) {
   StageResult r;
   switch (method) {
     case BuildMethod::kBasic: {
       ScopedTimer t(&r.robject_seconds);
-      const UVCell cell = BuildExactUvCell(objects, i, domain, stats, kernel_mode);
+      const UVCell cell = BuildExactUvCell(objects, i, domain, stats, kernel);
       r.index_ids = cell.RObjects();
       r.r_count = static_cast<double>(r.index_ids.size());
       break;
@@ -150,7 +144,7 @@ StageResult RunObjectStage(const std::vector<uncertain::UncertainObject>& object
         // Refinement: exact r-objects from the candidates.
         ScopedTimer t(&r.robject_seconds);
         const UVCell cell = BuildUvCellFromCandidates(objects, i, cr.cr_objects,
-                                                      domain, stats, kernel_mode);
+                                                      domain, stats, kernel);
         r.index_ids = cell.RObjects();
       }
       r.r_count = static_cast<double>(r.index_ids.size());
@@ -200,10 +194,10 @@ Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& obje
   const size_t n = objects.size();
   const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
   results->resize(n);
-  const bool tiled = options.traversal_mode == rtree::TraversalMode::kShared;
+  const bool tiled = options.cr.traversal_mode == rtree::TraversalMode::kShared;
   if (workers <= 1 || pool == nullptr) {
-    const CrObjectFinder finder(objects, tree, domain, FinderOptions(options), stats);
-    CrFinderWorkspace ws = MakeWorkspace(tree, options, stats);
+    const CrObjectFinder finder(objects, tree, domain, options.cr, stats);
+    CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, stats);
     // The Morton sweep matters even single-threaded: the session's pool /
     // bound / memo only pay off when consecutive anchors are spatially
     // adjacent, and ids are in dataset order (spatially random). Results
@@ -213,7 +207,7 @@ Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& obje
     for (size_t j = 0; j < n && ws.status().ok(); ++j) {
       const size_t i = tiled ? order[j] : j;
       (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
-                                     denom, options.kernel_mode, stats, &ws);
+                                     denom, options.cr.kernel_mode, stats, &ws);
     }
     return ws.status();
   }
@@ -223,13 +217,8 @@ Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& obje
   // ((*results)[i]) and every per-object output is state-independent, so
   // the claim interleaving and tile size never show in the output.
   std::vector<uint32_t> order;
-  size_t tile = 1;
-  if (tiled) {
-    order = MortonOrder(objects, domain);
-    tile = options.traversal_tile_size > 0
-               ? static_cast<size_t>(options.traversal_tile_size)
-               : 64;
-  }
+  if (tiled) order = MortonOrder(objects, domain);
+  const size_t tile = tiled ? kTraversalTileSize : 1;
   std::vector<Stats> shards(static_cast<size_t>(workers));
   std::vector<Status> failures(static_cast<size_t>(workers));
   std::atomic<size_t> next{0};
@@ -238,8 +227,8 @@ Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& obje
     pool->Submit([&, w, done] {
       UVD_TRACE_SPAN("build", "stage1_worker");
       Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
-      const CrObjectFinder finder(objects, tree, domain, FinderOptions(options), shard);
-      CrFinderWorkspace ws = MakeWorkspace(tree, options, shard);
+      const CrObjectFinder finder(objects, tree, domain, options.cr, shard);
+      CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, shard);
       while (ws.status().ok()) {
         const size_t claim = next.fetch_add(1, std::memory_order_relaxed);
         const size_t begin = claim * tile;
@@ -248,7 +237,7 @@ Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& obje
         for (size_t j = begin; j < end; ++j) {
           const size_t i = tiled ? order[j] : j;
           (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
-                                         denom, options.kernel_mode, shard, &ws);
+                                         denom, options.cr.kernel_mode, shard, &ws);
         }
       }
       failures[static_cast<size_t>(w)] = ws.status();

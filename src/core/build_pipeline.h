@@ -22,13 +22,18 @@
 // (src/shard/) call RunStage2 once per shard. build_threads <= 0 uses
 // hardware concurrency.
 //
-// Stage-1 traversal strategies (rtree::TraversalMode):
+// Each construction switch is one field, on the options of the code it
+// switches: CrFinderOptions::kernel_mode and ::traversal_mode (stage 1,
+// read here through BuildPipelineOptions::cr) and UVIndexOptions::
+// kernel_mode (stage 2). Their non-default settings (kScalar, kPerAnchor)
+// are the determinism oracles and are set only by tests. Stage-1
+// traversal strategies (rtree::TraversalMode):
 //
 //   * kShared (default): anchors are swept in Morton order in tiles of
-//     traversal_tile_size; each worker reuses one rtree::TraversalSession
-//     across its tiles (shared k-NN frontier, previous-anchor distance
-//     bound, decoded-leaf memo). Candidate sets are byte-identical to
-//     kPerAnchor for every tile size and thread count.
+//     kTraversalTileSize (64, build_pipeline.cc); each worker reuses one
+//     rtree::TraversalSession across its tiles (shared k-NN frontier,
+//     previous-anchor distance bound, decoded-leaf memo). Candidate sets
+//     are byte-identical to kPerAnchor for every thread count.
 //   * kPerAnchor: the historical root-restart per object — the traversal
 //     determinism oracle.
 //
@@ -143,23 +148,6 @@ struct BuildPipelineOptions {
   /// Partition frontier depth cap of the parallel stage 2 (clamped to
   /// [1, 3]; see UVIndex::PartitionedInsertOptions).
   int stage2_max_depth = 2;
-  /// Stage-1 candidate-kernel implementation (geom/batch/kernels.h),
-  /// applied to C-pruning, seed-region widening and exact-cell refinement.
-  /// Overrides cr.kernel_mode. Both modes build bitwise-identical indexes;
-  /// kScalar is the determinism oracle, kBatch the SoA/SIMD block path.
-  geom::KernelMode kernel_mode = geom::KernelMode::kBatch;
-  /// Stage-1 R-tree traversal strategy (see the header comment). Both
-  /// modes build bitwise-identical indexes; kPerAnchor is the traversal
-  /// determinism oracle, kShared the tiled session-reuse path.
-  rtree::TraversalMode traversal_mode = rtree::TraversalMode::kShared;
-  /// Anchors per Morton tile under kShared (materialized stage 1 only).
-  /// <= 0: 64. Any value yields byte-identical output; it only tunes how
-  /// often workers touch the shared claim counter vs. how evenly tiles
-  /// balance.
-  int traversal_tile_size = 64;
-  /// Decoded leaves each worker's session retains. <= 0: 256 (see
-  /// rtree::TraversalSessionOptions).
-  int leaf_memo_capacity = 256;
 };
 
 /// Runs the staged pipeline: materialized stage-1 fan-out, then RunStage2.

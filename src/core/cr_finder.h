@@ -36,10 +36,17 @@ struct CrFinderOptions {
   /// 2-3 stay valid; see DESIGN.md. Disable to reproduce plain Sec. IV-B
   /// behaviour (ablation: bench_ablation_seeds).
   bool adaptive_seed_widening = true;
-  /// Candidate-kernel implementation for C-pruning and the widening
-  /// subtraction loop (geom/batch/kernels.h). Both modes produce identical
-  /// C_i sets; kScalar is the determinism oracle.
+  /// Stage-1 kernel implementation (geom/batch/kernels.h): C-pruning, the
+  /// widening subtraction loop and, in the build pipeline, exact-cell
+  /// refinement. Both modes produce identical C_i sets and index bytes;
+  /// kScalar is the determinism oracle and is only set by tests.
   geom::KernelMode kernel_mode = geom::KernelMode::kBatch;
+  /// Stage-1 R-tree traversal (core/build_pipeline.h). The pipeline reads
+  /// it when it makes each worker's workspace: kShared gives the worker a
+  /// TraversalSession. Single-anchor live inserts run the per-anchor path,
+  /// which gives identical candidates. kPerAnchor is the determinism
+  /// oracle and is only set by tests.
+  rtree::TraversalMode traversal_mode = rtree::TraversalMode::kShared;
 };
 
 /// Output of Algorithm 2 for one object, plus pruning diagnostics used by

@@ -51,11 +51,11 @@ struct CandidateGather {
 
 UVCell BuildExactUvCell(const std::vector<uncertain::UncertainObject>& objects,
                         size_t index, const geom::Box& domain, Stats* stats,
-                        geom::KernelMode kernel_mode) {
+                        geom::KernelMode kernel) {
   UVD_CHECK_LT(index, objects.size());
   const uncertain::UncertainObject& anchor = objects[index];
   UVCell cell(anchor.region(), anchor.id(), domain, stats);
-  if (kernel_mode == geom::KernelMode::kBatch) {
+  if (kernel == geom::KernelMode::kBatch) {
     CandidateGather g;
     g.Reserve(objects.size() - 1);
     for (size_t j = 0; j < objects.size(); ++j) {
@@ -75,11 +75,11 @@ UVCell BuildExactUvCell(const std::vector<uncertain::UncertainObject>& objects,
 UVCell BuildUvCellFromCandidates(const std::vector<uncertain::UncertainObject>& objects,
                                  size_t index, const std::vector<int>& candidate_ids,
                                  const geom::Box& domain, Stats* stats,
-                                 geom::KernelMode kernel_mode) {
+                                 geom::KernelMode kernel) {
   UVD_CHECK_LT(index, objects.size());
   const uncertain::UncertainObject& anchor = objects[index];
   UVCell cell(anchor.region(), anchor.id(), domain, stats);
-  if (kernel_mode == geom::KernelMode::kBatch) {
+  if (kernel == geom::KernelMode::kBatch) {
     CandidateGather g;
     g.Reserve(candidate_ids.size());
     for (int id : candidate_ids) {

@@ -80,14 +80,14 @@ class UVCell {
 /// the oracle; kBatch only skips provably no-op insertions).
 UVCell BuildExactUvCell(const std::vector<uncertain::UncertainObject>& objects,
                         size_t index, const geom::Box& domain, Stats* stats = nullptr,
-                        geom::KernelMode kernel_mode = geom::KernelMode::kScalar);
+                        geom::KernelMode kernel = geom::KernelMode::kScalar);
 
 /// The exact UV-cell built only from the given candidate ids (cr-objects):
 /// used by ICR to refine cr-objects into exact r-objects.
 UVCell BuildUvCellFromCandidates(const std::vector<uncertain::UncertainObject>& objects,
                                  size_t index, const std::vector<int>& candidate_ids,
                                  const geom::Box& domain, Stats* stats = nullptr,
-                                 geom::KernelMode kernel_mode = geom::KernelMode::kScalar);
+                                 geom::KernelMode kernel = geom::KernelMode::kScalar);
 
 }  // namespace core
 }  // namespace uvd

@@ -19,12 +19,17 @@ Status ValidateBuildInput(const std::vector<uncertain::UncertainObject>& objects
   return Status::OK();
 }
 
+BuildPipelineOptions PipelineOptionsFor(const UVDiagramOptions& options) {
+  BuildPipelineOptions pipeline;
+  pipeline.method = options.method;
+  pipeline.cr = options.cr;
+  pipeline.build_threads = options.build_threads;
+  pipeline.stage2_max_depth = options.stage2_max_depth;
+  return pipeline;
+}
+
 UVDiagram::UVDiagram(const Options& options, Stats* stats)
     : options_(options), stats_(stats) {
-  // One knob drives every construction kernel: the sub-option structs the
-  // finder and index read are aligned here so callers only set kernel_mode.
-  options_.cr.kernel_mode = options.kernel_mode;
-  options_.index.kernel_mode = options.kernel_mode;
   if (stats_ == nullptr) {
     owned_stats_ = std::make_unique<Stats>();
     stats_ = owned_stats_.get();
@@ -49,18 +54,10 @@ Result<UVDiagram> UVDiagram::Build(std::vector<uncertain::UncertainObject> objec
       rtree::RTree::BulkLoad(d.objects_, u.ptrs, u.pm.get(), options.rtree, d.stats_));
   d.rtree_ = std::make_unique<rtree::RTree>(std::move(tree));
 
-  u.index = std::make_unique<UVIndex>(domain, u.pm.get(), d.options_.index, d.stats_);
-  BuildPipelineOptions pipeline;
-  pipeline.method = options.method;
-  pipeline.cr = d.options_.cr;
-  pipeline.build_threads = options.build_threads;
-  pipeline.stage2_max_depth = options.stage2_max_depth;
-  pipeline.kernel_mode = options.kernel_mode;
-  pipeline.traversal_mode = options.traversal_mode;
-  pipeline.traversal_tile_size = options.traversal_tile_size;
-  pipeline.leaf_memo_capacity = options.leaf_memo_capacity;
-  UVD_RETURN_NOT_OK(RunBuildPipeline(d.objects_, u.ptrs, *d.rtree_, domain, pipeline,
-                                     u.index.get(), &d.build_stats_, d.stats_));
+  u.index = std::make_unique<UVIndex>(domain, u.pm.get(), options.index, d.stats_);
+  UVD_RETURN_NOT_OK(RunBuildPipeline(d.objects_, u.ptrs, *d.rtree_, domain,
+                                     PipelineOptionsFor(options), u.index.get(),
+                                     &d.build_stats_, d.stats_));
   return d;
 }
 

@@ -47,16 +47,6 @@ struct UVDiagramOptions {
   /// Partition frontier depth of the parallel stage 2 (see
   /// core/build_pipeline.h); every depth serializes to identical bytes.
   int stage2_max_depth = 2;
-  /// Construction kernel implementation for both stages (see
-  /// core/build_pipeline.h and geom/batch/kernels.h). Applied to cr,
-  /// index and the pipeline; the index is byte-identical either way.
-  geom::KernelMode kernel_mode = geom::KernelMode::kBatch;
-  /// Stage-1 R-tree traversal strategy and its tuning (see
-  /// core/build_pipeline.h and rtree/traversal_session.h). The index is
-  /// byte-identical across modes, tile sizes and memo capacities.
-  rtree::TraversalMode traversal_mode = rtree::TraversalMode::kShared;
-  int traversal_tile_size = 64;
-  int leaf_memo_capacity = 256;
   /// Persistent storage. Empty (the default): pages live in the in-RAM
   /// simulated disk and the diagram dies with the process. Non-empty: the
   /// whole stack — object records, R-tree leaves, UV-index pages — lands
@@ -68,6 +58,11 @@ struct UVDiagramOptions {
   /// without storage_path). 0 disables the pool: every read hits the file.
   size_t buffer_pool_pages = 0;
 };
+
+/// The stage-1/stage-2 pipeline configuration of a build with `options`:
+/// method, cr, build_threads and stage2_max_depth. UVDiagram::Build and
+/// ShardedUVDiagram::Build both derive their pipeline from it.
+BuildPipelineOptions PipelineOptionsFor(const UVDiagramOptions& options);
 
 /// The input contract of every Build: at least one object, ids 0..n-1 in
 /// order, every center inside `domain`. InvalidArgument otherwise.

@@ -10,6 +10,15 @@
 namespace uvd {
 namespace rtree {
 
+namespace {
+/// Slack on the entry pool's radius beyond what the triggering query needs
+/// (pool area grows with (1 + margin)^2). A work constant only: results
+/// are identical for any value >= 0. Smaller margins rebuild the pool
+/// more often, larger ones scan more per anchor; 0.5 and 2.0 were never
+/// measured faster than 1.0 on stage 1 (docs/TUNING.md).
+constexpr double kPoolMargin = 1.0;
+}  // namespace
+
 const char* TraversalModeName(TraversalMode m) {
   switch (m) {
     case TraversalMode::kPerAnchor:
@@ -24,7 +33,6 @@ TraversalSession::TraversalSession(const RTree& tree,
                                    const TraversalSessionOptions& options,
                                    Stats* stats)
     : tree_(tree),
-      options_(options),
       stats_(stats),
       memo_(std::max<size_t>(1, options.leaf_memo_capacity)) {
   Reset();
@@ -193,7 +201,7 @@ void TraversalSession::KNearest(const geom::Point& q, int k,
     // coverage fails too and the heap path below re-sizes from the fresh
     // exact k-th distance instead.
     const double want =
-        std::max(bound, last_window_) * (1.0 + options_.pool_margin);
+        std::max(bound, last_window_) * (1.0 + kPoolMargin);
     if (pool_radius_ > 2.0 * want) RebuildPool(q, want);
     if (PoolCovers(q, bound) && ServeFromPool(q, k, bound, out)) {
       last_window_ = std::max(last_window_ * 0.5, prev_kth_);
@@ -207,7 +215,7 @@ void TraversalSession::KNearest(const geom::Point& q, int k,
     // (never the jump-inflated Lipschitz bound) so the following anchors
     // and this anchor's range query serve from flat scans again.
     RebuildPool(q, std::max(prev_kth_, last_window_) *
-                       (1.0 + options_.pool_margin));
+                       (1.0 + kPoolMargin));
     last_window_ = std::max(last_window_ * 0.5, prev_kth_);
   }
 }
@@ -292,7 +300,7 @@ void TraversalSession::CentersInRange(const geom::Point& center, double radius,
   // subtracts the entry's own radius), so the dist_min ball covers every
   // qualifying entry and a flat pool scan returns the exact oracle set.
   const double want =
-      std::max(radius, last_window_) * (1.0 + options_.pool_margin);
+      std::max(radius, last_window_) * (1.0 + kPoolMargin);
   if (!PoolCovers(center, radius) || pool_radius_ > 2.0 * want) {
     RebuildPool(center, want);
   }

@@ -25,7 +25,7 @@
 //     coverage), both query kinds are answered by a flat scan of the pool
 //     — no heap, no tree descent, no per-entry memo lookups. The pool is
 //     rebuilt from the frontier cut when the walk exits the ball
-//     (every ~pool_margin * radius of Morton travel).
+//     (every ~kPoolMargin * radius of Morton travel; traversal_session.cc).
 //
 // Determinism: KNearest returns the k canonically smallest entries by
 // (dist_min, id) and CentersInRange an order-insensitive candidate set —
@@ -67,13 +67,6 @@ struct TraversalSessionOptions {
   /// every leaf of a 25K-object tree; smaller values trade decode repeats
   /// for memory (one leaf ~ fanout * sizeof(LeafEntry) ~ 5.6 KB).
   size_t leaf_memo_capacity = 256;
-  /// Slack factor on the entry pool's radius beyond the radius the
-  /// triggering query needs. Larger values rebuild less often but make
-  /// every per-anchor pool scan proportionally longer (pool area grows
-  /// with (1 + margin)^2). Purely a work knob — results are identical
-  /// for any value >= 0. The default trades a ~4x-area pool for a
-  /// rebuild only once per k-NN-radius of Morton travel.
-  double pool_margin = 1.0;
 };
 
 /// \brief Reusable k-NN / range traversal state over one immutable RTree.
@@ -179,7 +172,6 @@ class TraversalSession {
   void HeapKNearest(const geom::Point& q, int k, std::vector<LeafEntry>* out);
 
   const RTree& tree_;
-  TraversalSessionOptions options_;
   Stats* stats_;
 
   std::vector<CutElement> cut_;

@@ -354,13 +354,9 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
         rtree::RTree tree,
         rtree::RTree::BulkLoad(d.objects_, scratch_ptrs, &scratch_pm,
                                d.options_.diagram.rtree, d.stats_));
-    core::BuildPipelineOptions pipeline;
-    pipeline.method = d.options_.diagram.method;
-    pipeline.cr = d.options_.diagram.cr;
-    pipeline.build_threads = d.options_.diagram.build_threads;
-    UVD_RETURN_NOT_OK(core::ComputeStage1Candidates(d.objects_, tree, domain, pipeline,
-                                                    &index_ids, &d.build_stats_,
-                                                    d.stats_));
+    UVD_RETURN_NOT_OK(core::ComputeStage1Candidates(
+        d.objects_, tree, domain, core::PipelineOptionsFor(d.options_.diagram),
+        &index_ids, &d.build_stats_, d.stats_));
   }
   std::vector<std::vector<geom::Circle>> cell_regions(n);
   for (size_t i = 0; i < n; ++i) {

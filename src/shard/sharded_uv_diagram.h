@@ -10,9 +10,10 @@
 //
 //   1. Stage 1 (candidate generation) runs ONCE against the full
 //      population, reusing the build pipeline's fan-out
-//      (core::ComputeStage1Candidates with UVDiagramOptions::build_threads
-//      workers). Every object's cell description (cr-/r-objects) is
-//      therefore identical to what an unsharded build would index.
+//      (core::ComputeStage1Candidates, configured by the same
+//      core::PipelineOptionsFor as UVDiagram::Build). Every object's cell
+//      description (cr-/r-objects) is therefore identical to what an
+//      unsharded build would index.
 //   2. Border replication: an object is registered with EVERY shard whose
 //      sub-box its UV-cell may overlap (core::UvCellMayOverlap — the
 //      Algorithm 5 test against the shard box). An object whose
@@ -127,8 +128,9 @@ struct ShardedUVDiagramOptions {
   /// K: number of sub-domain indexes. 1 degenerates to an unsharded build.
   int num_shards = 4;
   ShardPartitioning partitioning = ShardPartitioning::kGrid;
-  /// Per-shard build/query configuration. `build_threads` drives both the
-  /// global stage-1 fan-out and the parallel shard builds; `index`,
+  /// Per-shard build/query configuration. `method` and `cr` drive the
+  /// global stage 1 as in an unsharded build; `build_threads` drives both
+  /// the stage-1 fan-out and the parallel shard builds; `index`,
   /// `page_size` and `qualification` apply to every shard.
   core::UVDiagramOptions diagram;
 };

@@ -79,7 +79,7 @@ TEST_P(BuildPipelineDeterminismTest, ParallelMatchesSerial) {
 
   BuildPipelineOptions options;
   options.method = method;
-  options.traversal_mode = traversal;
+  options.cr.traversal_mode = traversal;
   options.build_threads = 1;
 
   Stats oracle_stats;

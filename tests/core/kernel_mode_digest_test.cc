@@ -50,6 +50,12 @@ UVDiagram BuildWith(Shape shape, size_t n, uint64_t seed,
   return std::move(diagram).ValueOrDie();
 }
 
+// The kernel switch of both stages: stage 1 on cr, stage 2 on index.
+void SetKernelMode(UVDiagramOptions* options, geom::KernelMode mode) {
+  options->cr.kernel_mode = mode;
+  options->index.kernel_mode = mode;
+}
+
 std::vector<uint8_t> Serialized(const UVDiagram& d) {
   std::vector<uint8_t> bytes;
   UVD_CHECK_OK(d.index().SerializeStructure(&bytes));
@@ -85,7 +91,7 @@ TEST_P(KernelModeDigestTest, BatchMatchesScalarAcrossThreads) {
   UVDiagramOptions scalar_options;
   scalar_options.method = mc.method;
   scalar_options.build_threads = 1;
-  scalar_options.kernel_mode = geom::KernelMode::kScalar;
+  SetKernelMode(&scalar_options, geom::KernelMode::kScalar);
   const UVDiagram oracle = BuildWith(mc.shape, n, seed, scalar_options);
   const std::vector<uint8_t> oracle_bytes = Serialized(oracle);
   const uint64_t oracle_digest = PnnDigest(oracle, 11);
@@ -98,7 +104,7 @@ TEST_P(KernelModeDigestTest, BatchMatchesScalarAcrossThreads) {
       UVDiagramOptions options;
       options.method = mc.method;
       options.build_threads = threads;
-      options.kernel_mode = mode;
+      SetKernelMode(&options, mode);
       const UVDiagram built = BuildWith(mc.shape, n, seed, options);
       EXPECT_EQ(oracle_bytes, Serialized(built));
       EXPECT_EQ(oracle_digest, PnnDigest(built, 11));
@@ -123,10 +129,10 @@ TEST(KernelModeDigestTest, BasicMethodMatchesToo) {
   UVDiagramOptions scalar_options;
   scalar_options.method = BuildMethod::kBasic;
   scalar_options.build_threads = 1;
-  scalar_options.kernel_mode = geom::KernelMode::kScalar;
+  SetKernelMode(&scalar_options, geom::KernelMode::kScalar);
   const UVDiagram oracle = BuildWith(Shape::kUniform, n, 13, scalar_options);
   UVDiagramOptions options = scalar_options;
-  options.kernel_mode = geom::KernelMode::kBatch;
+  SetKernelMode(&options, geom::KernelMode::kBatch);
   options.build_threads = 8;
   const UVDiagram batch = BuildWith(Shape::kUniform, n, 13, options);
   EXPECT_EQ(Serialized(oracle), Serialized(batch));
@@ -142,9 +148,9 @@ TEST(KernelModeDigestTest, DecisionTickersMatchScanTickersMayNot) {
   Stats scalar_stats, batch_stats;
   UVDiagramOptions options;
   options.build_threads = 1;
-  options.kernel_mode = geom::KernelMode::kScalar;
+  SetKernelMode(&options, geom::KernelMode::kScalar);
   BuildWith(Shape::kUniform, n, 29, options, &scalar_stats);
-  options.kernel_mode = geom::KernelMode::kBatch;
+  SetKernelMode(&options, geom::KernelMode::kBatch);
   BuildWith(Shape::kUniform, n, 29, options, &batch_stats);
   for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); ++i) {
     const Ticker t = static_cast<Ticker>(i);
@@ -161,8 +167,10 @@ TEST(KernelModeDigestTest, DecisionTickersMatchScanTickersMayNot) {
 }
 
 TEST(KernelModeDigestTest, ComputeStage1CandidatesMatches) {
-  // The materialized stage-1 entry point (sharded builds) honors the knob
-  // the same way: identical candidate lists for both modes.
+  // The materialized stage-1 entry point yields identical candidate lists
+  // for both cr.kernel_mode settings. That ShardedUVDiagram::Build really
+  // reaches it with the caller's setting is pinned by
+  // ShardedEquivalenceTest.StageOneHonoursKernelSwitch.
   const size_t n = 400;
   const auto objects = MakeObjects(Shape::kClustered, n, 41);
   const geom::Box domain = Domain(n, 41);
@@ -175,9 +183,9 @@ TEST(KernelModeDigestTest, ComputeStage1CandidatesMatches) {
   std::vector<std::vector<int>> scalar_ids, batch_ids;
   BuildPipelineOptions options;
   options.build_threads = 4;
-  options.kernel_mode = geom::KernelMode::kScalar;
+  options.cr.kernel_mode = geom::KernelMode::kScalar;
   UVD_CHECK_OK(ComputeStage1Candidates(objects, tree, domain, options, &scalar_ids));
-  options.kernel_mode = geom::KernelMode::kBatch;
+  options.cr.kernel_mode = geom::KernelMode::kBatch;
   UVD_CHECK_OK(ComputeStage1Candidates(objects, tree, domain, options, &batch_ids));
   EXPECT_EQ(scalar_ids, batch_ids);
 }

@@ -160,7 +160,8 @@ TEST(Stage2PartitionTest, DenseCloudMatchesOracleAcrossThreadsAndKernels) {
                    " threads=" + std::to_string(threads));
       UVDiagramOptions options;
       options.build_threads = threads;
-      options.kernel_mode = kernel;
+      options.cr.kernel_mode = kernel;
+      options.index.kernel_mode = kernel;
       const UVDiagram partitioned = BuildWith(Shape::kCloud, n, seed, sigma, options);
       EXPECT_EQ(oracle_bytes, Serialized(partitioned));
       EXPECT_EQ(oracle_leaves, oracle::LeafTupleIds(partitioned.index()));
@@ -192,11 +193,11 @@ TEST(Stage2PartitionTest, EveryTickerMatchesSerial) {
   Stats partitioned_stats;
   UVDiagramOptions serial_options;
   serial_options.build_threads = 1;
-  serial_options.traversal_mode = rtree::TraversalMode::kPerAnchor;
+  serial_options.cr.traversal_mode = rtree::TraversalMode::kPerAnchor;
   BuildWith(Shape::kUniform, n, 23, 0.0, serial_options, &serial_stats);
   UVDiagramOptions options;
   options.build_threads = 4;
-  options.traversal_mode = rtree::TraversalMode::kPerAnchor;
+  options.cr.traversal_mode = rtree::TraversalMode::kPerAnchor;
   BuildWith(Shape::kUniform, n, 23, 0.0, options, &partitioned_stats);
   for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); ++i) {
     const Ticker t = static_cast<Ticker>(i);

@@ -1,6 +1,6 @@
 // Determinism contract of the shared-traversal layer (rtree/
-// traversal_session.h): for every build method, dataset shape, thread
-// count and tile size, TraversalMode::kShared must produce a serialized
+// traversal_session.h): for every build method, dataset shape and thread
+// count, TraversalMode::kShared must produce a serialized
 // UV-index BITWISE-identical to TraversalMode::kPerAnchor (the oracle
 // that restarts every query from the root), and PNN / answer-id digests
 // must match. Mirrors kernel_mode_digest_test for the traversal axis.
@@ -76,7 +76,7 @@ struct ModeCase {
 
 class TraversalModeDigestTest : public ::testing::TestWithParam<ModeCase> {};
 
-TEST_P(TraversalModeDigestTest, SharedMatchesPerAnchorAcrossThreadsAndTiles) {
+TEST_P(TraversalModeDigestTest, SharedMatchesPerAnchorAcrossThreads) {
   const ModeCase mc = GetParam();
   const size_t n = 600;
   const uint64_t seed = 97;
@@ -84,15 +84,14 @@ TEST_P(TraversalModeDigestTest, SharedMatchesPerAnchorAcrossThreadsAndTiles) {
   UVDiagramOptions oracle_options;
   oracle_options.method = mc.method;
   oracle_options.build_threads = 1;
-  oracle_options.traversal_mode = rtree::TraversalMode::kPerAnchor;
+  oracle_options.cr.traversal_mode = rtree::TraversalMode::kPerAnchor;
   const UVDiagram oracle = BuildWith(mc.shape, n, seed, oracle_options);
   const std::vector<uint8_t> oracle_bytes = Serialized(oracle);
   const uint64_t oracle_digest = PnnDigest(oracle, 11);
 
   for (int threads : {1, 8}) {
-    // kPerAnchor across threads, then kShared across tile sizes (1 makes
-    // every session single-anchor, 7 exercises ragged tails, 256 > n/8
-    // starves some workers entirely).
+    // kPerAnchor across threads, then kShared: n = 600 makes 10 Morton
+    // tiles of 64, the last one ragged (600 mod 64 = 24), over 8 workers.
     {
       SCOPED_TRACE(std::string("threads=") + std::to_string(threads) +
                    " traversal=per_anchor");
@@ -102,14 +101,13 @@ TEST_P(TraversalModeDigestTest, SharedMatchesPerAnchorAcrossThreadsAndTiles) {
       EXPECT_EQ(oracle_bytes, Serialized(built));
       EXPECT_EQ(oracle_digest, PnnDigest(built, 11));
     }
-    for (int tile : {1, 7, 256}) {
+    {
       SCOPED_TRACE(std::string("threads=") + std::to_string(threads) +
-                   " traversal=shared tile=" + std::to_string(tile));
+                   " traversal=shared");
       UVDiagramOptions options;
       options.method = mc.method;
       options.build_threads = threads;
-      options.traversal_mode = rtree::TraversalMode::kShared;
-      options.traversal_tile_size = tile;
+      options.cr.traversal_mode = rtree::TraversalMode::kShared;
       const UVDiagram built = BuildWith(mc.shape, n, seed, options);
       EXPECT_EQ(oracle_bytes, Serialized(built));
       EXPECT_EQ(oracle_digest, PnnDigest(built, 11));
@@ -133,30 +131,14 @@ TEST(TraversalModeDigestTest, BasicMethodMatchesToo) {
   UVDiagramOptions oracle_options;
   oracle_options.method = BuildMethod::kBasic;
   oracle_options.build_threads = 1;
-  oracle_options.traversal_mode = rtree::TraversalMode::kPerAnchor;
+  oracle_options.cr.traversal_mode = rtree::TraversalMode::kPerAnchor;
   const UVDiagram oracle = BuildWith(Shape::kUniform, n, 13, oracle_options);
   UVDiagramOptions options = oracle_options;
-  options.traversal_mode = rtree::TraversalMode::kShared;
+  options.cr.traversal_mode = rtree::TraversalMode::kShared;
   options.build_threads = 8;
   const UVDiagram shared = BuildWith(Shape::kUniform, n, 13, options);
   EXPECT_EQ(Serialized(oracle), Serialized(shared));
   EXPECT_EQ(PnnDigest(oracle, 3), PnnDigest(shared, 3));
-}
-
-TEST(TraversalModeDigestTest, TinyMemoStillExact) {
-  // A 2-leaf memo forces constant eviction; results must not change.
-  const size_t n = 500;
-  UVDiagramOptions oracle_options;
-  oracle_options.method = BuildMethod::kICR;
-  oracle_options.build_threads = 1;
-  oracle_options.traversal_mode = rtree::TraversalMode::kPerAnchor;
-  const UVDiagram oracle = BuildWith(Shape::kClustered, n, 53, oracle_options);
-  UVDiagramOptions options = oracle_options;
-  options.traversal_mode = rtree::TraversalMode::kShared;
-  options.leaf_memo_capacity = 2;
-  const UVDiagram shared = BuildWith(Shape::kClustered, n, 53, options);
-  EXPECT_EQ(Serialized(oracle), Serialized(shared));
-  EXPECT_EQ(PnnDigest(oracle, 7), PnnDigest(shared, 7));
 }
 
 TEST(TraversalModeDigestTest, DecisionTickersMatchTraversalTickersMayNot) {
@@ -169,9 +151,9 @@ TEST(TraversalModeDigestTest, DecisionTickersMatchTraversalTickersMayNot) {
   UVDiagramOptions options;
   options.method = BuildMethod::kICR;
   options.build_threads = 1;
-  options.traversal_mode = rtree::TraversalMode::kPerAnchor;
+  options.cr.traversal_mode = rtree::TraversalMode::kPerAnchor;
   BuildWith(Shape::kUniform, n, 29, options, &per_anchor_stats);
-  options.traversal_mode = rtree::TraversalMode::kShared;
+  options.cr.traversal_mode = rtree::TraversalMode::kShared;
   BuildWith(Shape::kUniform, n, 29, options, &shared_stats);
   for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); ++i) {
     const Ticker t = static_cast<Ticker>(i);

@@ -129,7 +129,7 @@ TEST(FaultInjectionTest, BuildPropagatesLeafReadFault) {
     SCOPED_TRACE(rtree::TraversalModeName(mode));
     core::BuildPipelineOptions options;
     options.build_threads = 1;  // the fault injector's countdown is not thread-safe
-    options.traversal_mode = mode;
+    options.cr.traversal_mode = mode;
     const auto build = [&](storage::PageManager* index_pm, std::vector<uint8_t>* bytes) {
       core::UVIndex index(f.domain, index_pm, core::UVIndexOptions{}, &f.stats);
       UVD_RETURN_NOT_OK(core::RunBuildPipeline(f.objects, f.ptrs, *f.tree, f.domain,

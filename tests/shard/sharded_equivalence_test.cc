@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "datagen/workload.h"
+#include "geom/batch/kernels.h"
 #include "query/query_engine.h"
 #include "query/result_digest.h"
 #include "shard/shard_router.h"
@@ -374,6 +375,44 @@ TEST(ShardedEquivalenceTest, AggregateStatsMergeShardCounters) {
   EXPECT_GT(after.Get(Ticker::kUvIndexLeafReads), before.Get(Ticker::kUvIndexLeafReads));
   EXPECT_GT(after.Get(Ticker::kQueryCacheHits) + after.Get(Ticker::kQueryCacheMisses),
             0u);
+}
+
+TEST(ShardedEquivalenceTest, StageOneHonoursKernelSwitch) {
+  // The sharded build's global stage 1 must run the kernel the caller set
+  // on diagram.cr, exactly as an unsharded build does. Basic bills one
+  // kEnvelopeInsertions per envelope insertion the kernel performs, and
+  // the batch prefilter skips most of them, so the two kernels bill
+  // different counts.
+  const size_t n = 250;
+  const uint64_t seed = 97;
+  const auto opts = DataOptions(n, seed);
+  const std::vector<geom::Point> points =
+      datagen::TrajectoryQueryPoints(80, datagen::DomainFor(opts), 40.0, 5);
+  std::vector<std::vector<query::QueryResult>> answers;
+  std::vector<uint64_t> insertions;
+  for (geom::KernelMode kernel : {geom::KernelMode::kScalar, geom::KernelMode::kBatch}) {
+    SCOPED_TRACE(geom::KernelModeName(kernel));
+    ShardedUVDiagramOptions options;
+    options.num_shards = 4;
+    options.diagram.method = core::BuildMethod::kBasic;
+    options.diagram.build_threads = 1;
+    options.diagram.cr.kernel_mode = kernel;
+    options.diagram.index.kernel_mode = kernel;
+
+    Stats unsharded_stats;
+    (void)core::UVDiagram::Build(datagen::GenerateUniform(opts), datagen::DomainFor(opts),
+                                 options.diagram, &unsharded_stats)
+        .ValueOrDie();
+    const auto sharded = ShardedUVDiagram::Build(datagen::GenerateUniform(opts),
+                                                 datagen::DomainFor(opts), options)
+                             .ValueOrDie();
+    insertions.push_back(sharded.AggregateStats().Get(Ticker::kEnvelopeInsertions));
+    EXPECT_EQ(insertions.back(), unsharded_stats.Get(Ticker::kEnvelopeInsertions));
+    ShardRouter router(sharded);
+    answers.push_back(router.ExecuteBatch(PointBatch(points)));
+  }
+  EXPECT_GT(insertions[0], insertions[1]);
+  ExpectPointAnswersIdentical(answers[0], answers[1]);
 }
 
 }  // namespace
