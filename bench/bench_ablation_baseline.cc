@@ -26,13 +26,14 @@ int main() {
       {"best-first", rtree::BaselineTraversal::kBestFirst},
       {"best-first+maxdist", rtree::BaselineTraversal::kBestFirstNodeTightened},
   };
+  const rtree::RTree& tree = *diagram.rtree().ValueOrDie();
   for (const auto& [name, traversal] : variants) {
     stats.Reset();
     Timer t;
     for (const auto& q : queries) {
       rtree::PnnBaselineOptions options;
       options.traversal = traversal;
-      UVD_CHECK(rtree::RetrievePnnCandidates(diagram.rtree(), q, &stats, options).ok());
+      UVD_CHECK(rtree::RetrievePnnCandidates(tree, q, &stats, options).ok());
     }
     std::printf("%24s %12.2f %12.4f\n", name,
                 static_cast<double>(stats.Get(Ticker::kRtreeLeafReads)) /

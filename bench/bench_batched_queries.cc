@@ -1,16 +1,13 @@
 // Throughput of the batched query engine (src/query/): queries/sec for a
 // moving-NN style PNN stream, swept over worker threads x cache on/off.
 //
-// Unlike the per-figure benches (which charge UVD_SIM_IO_MS per page read
-// post hoc), this bench puts the system into the paper's disk-bound regime
-// for real: PageManager::SetSimulatedReadLatencyUs makes every page read
-// block, so worker threads demonstrably hide I/O latency instead of just
-// being billed for it. The engine's answers are checked bitwise-identical
-// across every configuration (thread count and cache setting).
+// Page reads hit the in-RAM store, so the numbers are CPU throughput; the
+// disk-bound regime is e2ebench's file-backed workloads. The engine's
+// answers are checked bitwise-identical across every configuration
+// (thread count and cache setting).
 //
 // Flags (see bench_common.h): --query_threads=N --batch_size=N --smoke
-// plus --sim_io_us=N (default 500) for the simulated per-read latency,
-// --json <path> to persist the sweep with an embedded MetricsRegistry
+// plus --json <path> to persist the sweep with an embedded MetricsRegistry
 // snapshot, and --overhead-check to assert the observability layer costs
 // < 5% throughput (obs fully on vs fully off, answers digest-checked
 // identical) instead of running the sweep.
@@ -67,13 +64,11 @@ RunResult RunBatch(const core::UVDiagram& diagram, const query::QueryBatch& batc
 /// runs first alternates between pairs. The ratio is the median of the
 /// per-pair on/off ratios: on a shared VM the host's speed drifts by 10-20%
 /// within one run, which tilts a min-of-N per leg toward whichever leg
-/// caught the fastest moment, but not a median of many short pairs. Pure
-/// CPU (no simulated I/O — sleeps would mask any overhead). Asserts the
+/// caught the fastest moment, but not a median of many short pairs. Asserts the
 /// on/off ratio stays under the contract's 5% and that answers are
 /// digest-identical.
 int RunOverheadCheck(const core::UVDiagram& diagram, const query::QueryBatch& batch,
                      int threads) {
-  storage::PageManager::SetSimulatedReadLatencyUs(0);
   query::QueryEngineOptions opts;
   opts.threads = threads;
   query::QueryEngine engine(diagram, opts);
@@ -169,11 +164,8 @@ int main(int argc, char** argv) {
     return RunOverheadCheck(diagram, batch, threads);
   }
 
-  std::printf("|O| = %zu, batch = %d trajectory PNN queries, sim read latency "
-              "= %d us\n\n",
-              data.count, batch_size, flags.sim_io_us);
-  storage::PageManager::SetSimulatedReadLatencyUs(
-      static_cast<uint32_t>(flags.sim_io_us));
+  std::printf("|O| = %zu, batch = %d trajectory PNN queries\n\n", data.count,
+              batch_size);
 
   std::vector<int> thread_sweep =
       flags.smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
@@ -233,9 +225,8 @@ int main(int argc, char** argv) {
     report.AddRaw("metrics", registry.TakeSnapshot().ToJson());
     report.WriteTo(json_path);
   }
-  storage::PageManager::SetSimulatedReadLatencyUs(0);
 
-  std::printf("\nspeedup (%d threads vs 1, cache off) = %.2fx (target > 2.0)\n",
+  std::printf("\nspeedup (%d threads vs 1, cache off) = %.2fx\n",
               thread_sweep.back(), qps_1t > 0 ? qps_max_t / qps_1t : 0.0);
   std::printf("answers bitwise-identical across configs: %s\n",
               all_identical ? "yes" : "NO — DETERMINISM VIOLATION");

@@ -54,11 +54,9 @@ QueryBenchFlags ParseQueryBenchFlags(int argc, char** argv) {
     };
     if (int_value("--query_threads=", &flags.query_threads)) continue;
     if (int_value("--batch_size=", &flags.batch_size)) continue;
-    if (int_value("--sim_io_us=", &flags.sim_io_us)) continue;
     if (arg == "--smoke") flags.smoke = true;
   }
   flags.batch_size = std::max(1, flags.batch_size);
-  flags.sim_io_us = std::max(0, flags.sim_io_us);
   return flags;
 }
 

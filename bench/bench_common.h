@@ -44,14 +44,11 @@ constexpr int kNumQueries = 50;
 /// engine without per-bench flag parsing:
 ///   --query_threads=N   QueryEngine worker count (<= 0: hardware)
 ///   --batch_size=N      queries per batch
-///   --sim_io_us=N       blocking per-page-read latency for throughput
-///                       benches (PageManager::SetSimulatedReadLatencyUs)
 ///   --smoke             tiny dataset + reduced sweep (CI smoke runs)
 /// Unrecognized arguments are ignored.
 struct QueryBenchFlags {
   int query_threads = 0;
   int batch_size = 2000;
-  int sim_io_us = 500;
   bool smoke = false;
 };
 

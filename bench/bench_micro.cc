@@ -98,7 +98,7 @@ BENCHMARK(BM_Qualification)->Arg(2)->Arg(5)->Arg(8)->Arg(32);
 
 void BM_PageReadWrite(benchmark::State& state) {
   storage::PageManager pm(4096);
-  const storage::PageId p = pm.Allocate();
+  const storage::PageId p = pm.Allocate().ValueOrDie();
   std::vector<uint8_t> data(4096, 0xAB);
   std::vector<uint8_t> out;
   for (auto _ : state) {
@@ -132,10 +132,11 @@ struct IndexedFixture {
 
 void BM_RtreeKnn(benchmark::State& state) {
   auto& f = IndexedFixture::Get();
+  const rtree::RTree& tree = *f.diagram->rtree().ValueOrDie();
   size_t i = 0;
   for (auto _ : state) {
     const auto& q = f.queries[i++ % f.queries.size()];
-    benchmark::DoNotOptimize(f.diagram->rtree().KNearestByDistMin(q, 300));
+    benchmark::DoNotOptimize(tree.KNearestByDistMin(q, 300));
   }
 }
 BENCHMARK(BM_RtreeKnn);

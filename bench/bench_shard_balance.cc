@@ -1,7 +1,7 @@
 // Shard load balance across partitioning modes: {grid, bisection, median}
 // x {uniform, clustered 10:1} at a fixed shard count, reporting per-shard
-// object / replica / leaf imbalance plus routed throughput under blocking
-// page reads and the per-shard query-share imbalance — the hot-shard
+// object / replica / leaf imbalance plus routed throughput and the
+// per-shard query-share imbalance — the hot-shard
 // diagnosis bench for ROADMAP "data-adaptive shard boundaries". The query
 // stream is data-following (probes cluster around object centers, the
 // moving-NN skew of Ali et al.), so a hot shard shows up as both an object
@@ -11,7 +11,7 @@
 // must never change answers.
 //
 // Flags (see bench_common.h): --query_threads=N (per-shard engine workers,
-// default 1) --batch_size=N --sim_io_us=N --smoke
+// default 1) --batch_size=N --smoke
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -93,8 +93,8 @@ int main(int argc, char** argv) {
   const int batch_size = flags.smoke ? 300 : flags.batch_size;
 
   std::printf("|O| = %zu, K = %d shards, batch = %d data-following PNN "
-              "probes, sim read latency = %d us\n\n",
-              data.count, num_shards, batch_size, flags.sim_io_us);
+              "probes\n\n",
+              data.count, num_shards, batch_size);
   std::printf("%10s %10s %8s %8s %9s %8s %10s %8s %10s\n", "dataset", "mode",
               "build s", "obj imb", "replicas", "leaf imb", "queries/s",
               "qsh imb", "identical");
@@ -152,12 +152,9 @@ int main(int argc, char** argv) {
       router_options.engine.threads =
           flags.query_threads > 0 ? flags.query_threads : 1;
       shard::ShardRouter router(sharded, router_options);
-      storage::PageManager::SetSimulatedReadLatencyUs(
-          static_cast<uint32_t>(flags.sim_io_us));
       Timer timer;
       const auto results = router.ExecuteBatch(batch);
       const double seconds = timer.ElapsedSeconds();
-      storage::PageManager::SetSimulatedReadLatencyUs(0);
 
       const bool identical =
           query::DigestPointAnswers(results) == reference_hash;

@@ -4,15 +4,13 @@
 // the router fanning sub-batches across shards, so queries/sec scaling
 // with K is the sharding win itself, not intra-shard threading.
 //
-// Like bench_batched_queries, the system is put into the paper's
-// disk-bound regime for real: PageManager::SetSimulatedReadLatencyUs makes
-// every page read block, so shards demonstrably hide each other's I/O.
-// Every configuration's PNN answers are checked bitwise-identical (FNV
+// Like bench_batched_queries, page reads hit the in-RAM store, so the
+// numbers are CPU throughput. Every configuration's PNN answers are checked bitwise-identical (FNV
 // hash over ids + probability bits) against an unsharded baseline — the
 // border-correctness guarantee under load, cut-line probes included.
 //
 // Flags (see bench_common.h): --query_threads=N (per-shard engine workers,
-// default 1) --batch_size=N --sim_io_us=N --smoke, plus --json <path> to
+// default 1) --batch_size=N --smoke, plus --json <path> to
 // persist per-query latency percentiles through BOTH serving paths — the
 // unsharded QueryEngine and the ShardRouter per shard count (exact
 // cross-shard MergedKindLatency) — with the final configuration's full
@@ -100,13 +98,9 @@ int main(int argc, char** argv) {
   const std::string json_path = ParseJsonPath(argc, argv);
   JsonReport report("bench_sharded_queries", ParseRev(argc, argv));
   if (!json_path.empty()) {
-    // Unsharded QueryEngine latency record, measured under the same
-    // simulated disk latency the sharded sweep runs with.
+    // Unsharded QueryEngine latency record.
     baseline_engine.ResetMetrics();
-    storage::PageManager::SetSimulatedReadLatencyUs(
-        static_cast<uint32_t>(flags.sim_io_us));
     (void)baseline_engine.ExecuteBatch(batch);
-    storage::PageManager::SetSimulatedReadLatencyUs(0);
     report.BeginRecord();
     report.Add("path", std::string("query_engine"));
     report.Add("kind", std::string("pnn"));
@@ -116,9 +110,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("|O| = %zu, batch = %zu PNN queries from %d interleaved "
-              "trajectories, sim read latency = %d us, per-shard engine "
-              "threads = %d\n\n",
-              data.count, batch.size(), walkers, flags.sim_io_us,
+              "trajectories, per-shard engine threads = %d\n\n",
+              data.count, batch.size(), walkers,
               flags.query_threads > 0 ? flags.query_threads : 1);
   std::printf("%7s %9s %12s %14s %12s %10s\n", "shards", "build s", "queries/s",
               "leaf IO/query", "replicas", "identical");
@@ -143,12 +136,9 @@ int main(int argc, char** argv) {
     router_options.engine.threads = flags.query_threads > 0 ? flags.query_threads : 1;
     shard::ShardRouter router(sharded, router_options);
 
-    storage::PageManager::SetSimulatedReadLatencyUs(
-        static_cast<uint32_t>(flags.sim_io_us));
     Timer timer;
     const auto results = router.ExecuteBatch(batch);
     const double seconds = timer.ElapsedSeconds();
-    storage::PageManager::SetSimulatedReadLatencyUs(0);
 
     const Stats stats = sharded.AggregateStats();
     const double n = static_cast<double>(batch.size());

@@ -92,20 +92,21 @@ Result<UVDiagram> UVDiagram::Open(const std::string& path, const Options& option
   return d;
 }
 
-void UVDiagram::RefreshRtreeIfStale() const {
+Status UVDiagram::RefreshRtreeIfStale() const {
   MutexLock lock(*rtree_mu_);
-  if (!rtree_stale_) return;
-  auto tree =
-      rtree::RTree::BulkLoad(objects_, unit_.ptrs, unit_.pm.get(), options_.rtree, stats_);
-  UVD_CHECK(tree.ok()) << tree.status().ToString();
+  if (!rtree_stale_) return Status::OK();
+  UVD_ASSIGN_OR_RETURN(
+      rtree::RTree tree,
+      rtree::RTree::BulkLoad(objects_, unit_.ptrs, unit_.pm.get(), options_.rtree, stats_));
   if (rtree_ == nullptr) {
     // Reopened diagrams start without an R-tree (it is derivable, not
     // persisted); materialize it on first use.
-    rtree_ = std::make_unique<rtree::RTree>(std::move(tree).value());
+    rtree_ = std::make_unique<rtree::RTree>(std::move(tree));
   } else {
-    *rtree_ = std::move(tree).value();
+    *rtree_ = std::move(tree);
   }
   rtree_stale_ = false;
+  return Status::OK();
 }
 
 Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
@@ -127,18 +128,31 @@ Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
 
   // Derive the new object's cr-objects against the full population (the
   // lazily rebuilt R-tree covers every earlier insert).
-  RefreshRtreeIfStale();
-  const CrObjectFinder finder(objects_, *rtree_, unit_.box, options_.cr, stats_);
-  CrFinderWorkspace ws;
-  const CrResult cr = finder.Find(objects_.size() - 1, &ws);
-  UVD_RETURN_NOT_OK(ws.status());
-  std::vector<geom::Circle> cr_regions;
-  cr_regions.reserve(cr.cr_objects.size());
-  for (int id : cr.cr_objects) {
-    cr_regions.push_back(objects_[static_cast<size_t>(id)].region());
+  const auto index_new_object = [&]() -> Status {
+    UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
+    const CrObjectFinder finder(objects_, *rtree_, unit_.box, options_.cr, stats_);
+    CrFinderWorkspace ws;
+    const CrResult cr = finder.Find(objects_.size() - 1, &ws);
+    UVD_RETURN_NOT_OK(ws.status());
+    std::vector<geom::Circle> cr_regions;
+    cr_regions.reserve(cr.cr_objects.size());
+    for (int id : cr.cr_objects) {
+      cr_regions.push_back(objects_[static_cast<size_t>(id)].region());
+    }
+    return unit_.index->InsertObjectLive(objects_.back().region(), objects_.back().id(),
+                                         unit_.ptrs.back(), std::move(cr_regions));
+  };
+  const Status st = index_new_object();
+  if (!st.ok()) {
+    // Roll back: the index is as it was (InsertObjectLive undoes itself),
+    // so forget the record and rebuild the R-tree without it on next use.
+    unit_.store->DropLastRecord();
+    objects_.pop_back();
+    unit_.ptrs.pop_back();
+    MutexLock lock(*rtree_mu_);
+    rtree_stale_ = true;
   }
-  return unit_.index->InsertObjectLive(objects_.back().region(), objects_.back().id(),
-                                       unit_.ptrs.back(), std::move(cr_regions));
+  return st;
 }
 
 Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnn(
@@ -149,7 +163,7 @@ Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnn(
 
 Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnnWithRtree(
     const geom::Point& q, rtree::PnnBreakdown* breakdown) const {
-  RefreshRtreeIfStale();
+  UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
   return rtree::EvaluatePnnWithRtree(*rtree_, *unit_.store, q, options_.qualification,
                                      stats_, breakdown);
 }

@@ -114,7 +114,9 @@ class UVDiagram {
   /// the frozen grid (UVIndex::InsertObjectLive). The object id must be
   /// objects().size(). The R-tree is rebuilt lazily before its next use,
   /// so both query paths stay consistent. Suitable for modest insert
-  /// rates; rebuild the diagram when leaf chains degrade.
+  /// rates; rebuild the diagram when leaf chains degrade. A failed call
+  /// returns its Status and leaves the diagram serving what it served
+  /// before, so the same object can be inserted again.
   Status InsertObject(uncertain::UncertainObject object);
 
   /// PNN through the UV-index (paper Sec. V-A). Errors (I/O failures,
@@ -136,9 +138,11 @@ class UVDiagram {
   const std::vector<uncertain::UncertainObject>& objects() const { return objects_; }
   const geom::Box& domain() const { return unit_.box; }
   const UVIndex& index() const { return *unit_.index; }
-  const rtree::RTree& rtree() const {
-    RefreshRtreeIfStale();
-    return *rtree_;
+  /// The R-tree, rebuilt first if stale; a failed rebuild's I/O error
+  /// comes back here.
+  Result<const rtree::RTree*> rtree() const {
+    UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
+    return rtree_.get();
   }
   const uncertain::ObjectStore& store() const { return *unit_.store; }
   const BuildStats& build_stats() const { return build_stats_; }
@@ -153,7 +157,8 @@ class UVDiagram {
   /// null); Build and Open fill in the rest.
   UVDiagram(const Options& options, Stats* stats);
 
-  /// Rebuilds the R-tree if live inserts made it stale. The staleness
+  /// Rebuilds the R-tree if live inserts or a reopen made it stale; a
+  /// failed rebuild returns its Status and leaves it stale. The staleness
   /// check and the rebuild run under rtree_mu_, so concurrent R-tree-path
   /// callers (QueryPnnWithRtree, rtree()) cannot both rebuild or observe
   /// a half-built tree (the lazy mutation under `const` used to race).
@@ -161,7 +166,7 @@ class UVDiagram {
   /// not overlap ANY other reader (see page_manager.h); today that holds
   /// because rebuilds only actually fire inside InsertObject — a mutation,
   /// which callers already must not overlap with queries.
-  void RefreshRtreeIfStale() const;
+  Status RefreshRtreeIfStale() const;
 
   std::vector<uncertain::UncertainObject> objects_;
   Options options_;

@@ -696,7 +696,10 @@ Status UVIndex::FinalizeWith(ThreadPool* pool, int threads) {
     for (Node& node : nodes_) {
       if (!node.is_leaf) continue;
       node.pages.reserve(node.num_pages);
-      for (size_t p = 0; p < node.num_pages; ++p) node.pages.push_back(pm_->Allocate());
+      for (size_t p = 0; p < node.num_pages; ++p) {
+        UVD_ASSIGN_OR_RETURN(const storage::PageId page, pm_->Allocate());
+        node.pages.push_back(page);
+      }
       UVD_RETURN_NOT_OK(write_leaf(node, &tuples, &buf));
     }
   } else {
@@ -713,7 +716,7 @@ Status UVIndex::FinalizeWith(ThreadPool* pool, int threads) {
       leaves.push_back(idx);
       total_pages += nodes_[idx].num_pages;
     }
-    storage::PageId next_page = pm_->AllocateRun(total_pages);
+    UVD_ASSIGN_OR_RETURN(storage::PageId next_page, pm_->AllocateRun(total_pages));
     for (uint32_t leaf : leaves) {
       Node& node = nodes_[leaf];
       node.pages.reserve(node.num_pages);
@@ -765,8 +768,7 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
   if (!options_.accept_border_objects && !domain_.Contains(region.center)) {
     return Status::InvalidArgument("object center outside the domain");
   }
-  members_.push_back(MakeMember(region, id, ptr, std::move(cr_regions)));
-  const uint32_t slot = static_cast<uint32_t>(members_.size() - 1);
+  Member member = MakeMember(region, id, ptr, std::move(cr_regions));
 
   // Collect the overlapped leaves (no splits in live mode).
   std::vector<uint32_t> leaves;
@@ -774,7 +776,7 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
   while (!stack.empty()) {
     const uint32_t idx = stack.back();
     stack.pop_back();
-    if (!CheckOverlap(members_[slot], nodes_[idx].region)) continue;
+    if (!CheckOverlap(member, nodes_[idx].region)) continue;
     if (nodes_[idx].is_leaf) {
       leaves.push_back(idx);
     } else {
@@ -782,21 +784,23 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
     }
   }
 
-  // Append the tuple to each leaf's page chain, rewriting only the tail
-  // page (allocating a fresh one on overflow).
+  // Allocate the overflow page of every full leaf before touching any
+  // node, so a failed allocation leaves the index as it was.
+  std::vector<storage::PageId> fresh_pages;
+  for (uint32_t leaf : leaves) {
+    if (nodes_[leaf].member_slots.size() == LeafCapacity(nodes_[leaf])) {
+      UVD_ASSIGN_OR_RETURN(const storage::PageId page, pm_->Allocate());
+      fresh_pages.push_back(page);
+    }
+  }
+  members_.push_back(std::move(member));
+  const uint32_t slot = static_cast<uint32_t>(members_.size() - 1);
+
+  // Rewrites page `tail_index` of a leaf from its resident slots.
   const size_t per_page = static_cast<size_t>(options_.leaf_fanout);
   std::vector<uint8_t> buf;
   std::vector<rtree::LeafEntry> tail;
-  for (uint32_t leaf : leaves) {
-    Node& node = nodes_[leaf];
-    const size_t count = node.member_slots.size();
-    if (count == LeafCapacity(node)) {
-      node.num_pages += 1;
-      node.pages.push_back(pm_->Allocate());
-    }
-    node.member_slots.push_back(slot);
-    // Rebuild the tail page from its resident slots plus the new tuple.
-    const size_t tail_index = count / per_page;
+  const auto write_tail = [&](const Node& node, size_t tail_index) {
     tail.clear();
     for (size_t i = tail_index * per_page; i < node.member_slots.size(); ++i) {
       const Member& m = members_[node.member_slots[i]];
@@ -804,7 +808,42 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
     }
     buf.clear();
     rtree::EncodeLeafEntries(tail.data(), tail.size(), &buf);
-    UVD_RETURN_NOT_OK(pm_->Write(node.pages[tail_index], buf));
+    return pm_->Write(node.pages[tail_index], buf);
+  };
+
+  // Append the tuple to each leaf's page chain, rewriting only the tail
+  // page (chaining the fresh one on overflow).
+  std::vector<bool> grown(leaves.size(), false);
+  size_t next_fresh = 0;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    Node& node = nodes_[leaves[i]];
+    const size_t count = node.member_slots.size();
+    if (count == LeafCapacity(node)) {
+      node.num_pages += 1;
+      node.pages.push_back(fresh_pages[next_fresh++]);
+      grown[i] = true;
+    }
+    node.member_slots.push_back(slot);
+    const Status st = write_tail(node, count / per_page);
+    if (st.ok()) continue;
+    // Undo leaves [0, i], newest first: a grown leaf drops its fresh page
+    // (its old pages were never rewritten); every other leaf written
+    // before the failure gets its old tail page back. The index is then
+    // as it was — unless a restoring write fails too, which leaves that
+    // page holding the extra tuple (reopen the last checkpoint then).
+    bool restored = true;
+    for (size_t j = i + 1; j-- > 0;) {
+      Node& undo = nodes_[leaves[j]];
+      undo.member_slots.pop_back();
+      if (grown[j]) {
+        undo.num_pages -= 1;
+        undo.pages.pop_back();
+      } else if (j < i) {
+        restored &= write_tail(undo, undo.member_slots.size() / per_page).ok();
+      }
+    }
+    members_.pop_back();
+    return restored ? st : Status::IOError(st.message() + "; restoring a leaf page failed too");
   }
 
   // Match Finalize(): drop the construction caches for the new member.

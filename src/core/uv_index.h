@@ -199,7 +199,9 @@ class UVIndex {
   /// true cells, so existing leaf tuples remain conservative supersets
   /// (Lemma 4 intact), and the new object's own tuples are placed by the
   /// same CheckOverlap test used at construction. Leaf chains lengthen
-  /// over time; rebuild when query I/O degrades.
+  /// over time; rebuild when query I/O degrades. A failed call leaves the
+  /// index as it was: overflow pages are allocated before any node
+  /// changes, and a failed leaf write undoes the leaves already written.
   Status InsertObjectLive(const geom::Circle& region, int id,
                           uncertain::ObjectPtr ptr,
                           std::vector<geom::Circle> cr_regions);

@@ -126,10 +126,7 @@ Result<SavedIndexHandle> WriteStreamToPages(const std::vector<uint8_t>& stream,
   handle.page_count =
       static_cast<uint32_t>((stream.size() + page_size - 1) / page_size);
   if (handle.page_count == 0) return handle;
-  handle.first_page = pm->AllocateRun(handle.page_count);
-  if (handle.first_page == storage::kInvalidPageId) {
-    return Status::IOError("page allocation failed while saving a stream");
-  }
+  UVD_ASSIGN_OR_RETURN(handle.first_page, pm->AllocateRun(handle.page_count));
   for (uint32_t i = 0; i < handle.page_count; ++i) {
     const size_t begin = static_cast<size_t>(i) * page_size;
     const size_t len = std::min(page_size, stream.size() - begin);

@@ -147,23 +147,24 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(const QueryBatch& batch) {
   // counters. The member copy below exists only for worker_stats()
   // observability and is the one cross-call write, hence the mutex.
   std::vector<Stats> shards;
-  // Latency shards follow the same call-local story; merged into
-  // kind_latency_ at the end (MergeFrom is atomic-safe for concurrent
-  // callers). `timed` is sampled once so a mid-batch toggle cannot split
-  // a query between recorded and unrecorded halves.
+  // The fan-out's latency shards follow the same call-local story, merged
+  // into kind_latency_ at the end (MergeFrom is atomic-safe for concurrent
+  // callers). The inline path records straight into kind_latency_
+  // (relaxed atomics): a shard would cost a 976-bucket zeroing and merge
+  // per kind on every call, more than a one-query batch itself. `timed`
+  // is sampled once so a mid-batch toggle cannot split a query between
+  // recorded and unrecorded halves.
   const bool timed = obs::MetricsEnabled();
   using KindLatencyShard = std::array<obs::LatencyHistogram, kNumQueryKinds>;
   std::vector<KindLatencyShard> latency_shards;
 
   if (pool_ == nullptr || workers <= 1) {
     shards.assign(1, Stats());
-    latency_shards.resize(1);
     for (size_t i = 0; i < batch.size(); ++i) {
       if (timed) {
         const uint64_t t0 = obs::NowMicros();
         results[i] = ExecuteOne(batch[i], &shards[0]);
-        latency_shards[0][static_cast<size_t>(batch[i].kind)].Record(
-            obs::NowMicros() - t0);
+        kind_latency_[static_cast<size_t>(batch[i].kind)].Record(obs::NowMicros() - t0);
       } else {
         results[i] = ExecuteOne(batch[i], &shards[0]);
       }

@@ -119,9 +119,10 @@ class QueryEngine {
   void InvalidateCache();
 
   /// Per-query-kind latency distribution in microseconds, accumulated
-  /// across every ExecuteBatch on this engine. Recorded into call-local
-  /// per-worker shards and merged (exact MergeFrom) after each batch, the
-  /// same story as the Stats shards; empty while obs::MetricsEnabled() is
+  /// across every ExecuteBatch on this engine. A fanned-out batch records
+  /// into call-local per-worker shards merged (exact MergeFrom) after it,
+  /// the same story as the Stats shards; an inline batch records here
+  /// directly. Empty while obs::MetricsEnabled() is
   /// off. Purely observational — answers are identical either way.
   const obs::LatencyHistogram& kind_latency(QueryKind kind) const {
     return kind_latency_[static_cast<size_t>(kind)];

@@ -84,7 +84,7 @@ Result<RTree> RTree::BulkLoad(const std::vector<uncertain::UncertainObject>& obj
     for (const LeafEntry& e : group) mbr.ExpandToInclude(e.mbc.Mbr());
     std::vector<uint8_t> buf;
     EncodeLeafEntries(group.data(), group.size(), &buf);
-    const storage::PageId page = pm->Allocate();
+    UVD_ASSIGN_OR_RETURN(const storage::PageId page, pm->Allocate());
     UVD_RETURN_NOT_OK(pm->Write(page, buf));
     tree.leaf_pages_.push_back(page);
     tree.leaf_mbrs_.push_back(mbr);

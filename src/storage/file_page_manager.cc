@@ -43,35 +43,11 @@ Result<std::unique_ptr<FilePageManager>> FilePageManager::Open(
       new FilePageManager(std::move(file).value(), options, stats));
 }
 
-void FilePageManager::ParkError(const Status& st) {
-  MutexLock lock(io_mu_);
-  if (io_status_.ok()) io_status_ = st;
-}
+Result<PageId> FilePageManager::Allocate() { return file_->AllocatePages(1); }
 
-Status FilePageManager::io_status() const {
-  MutexLock lock(io_mu_);
-  return io_status_;
-}
-
-PageId FilePageManager::Allocate() {
-  auto first = file_->AllocatePages(1);
-  if (!first.ok()) {
-    ParkError(first.status());
-    return kInvalidPageId;
-  }
-  return first.value();
-}
-
-PageId FilePageManager::AllocateRun(size_t count) {
+Result<PageId> FilePageManager::AllocateRun(size_t count) {
   if (count == 0) return file_->page_count();
-  auto first = file_->AllocatePages(static_cast<uint32_t>(count));
-  if (!first.ok()) {
-    // The interface cannot return Status; park the failure so the next
-    // Read/Write/Checkpoint surfaces it as a typed error.
-    ParkError(first.status());
-    return kInvalidPageId;
-  }
-  return first.value();
+  return file_->AllocatePages(static_cast<uint32_t>(count));
 }
 
 Status FilePageManager::FileRead(PageId id, std::vector<uint8_t>* out) const {
@@ -80,7 +56,6 @@ Status FilePageManager::FileRead(PageId id, std::vector<uint8_t>* out) const {
 }
 
 Status FilePageManager::Read(PageId id, std::vector<uint8_t>* out) const {
-  UVD_RETURN_NOT_OK(io_status());
   const bool timed = obs::MetricsEnabled();
   const uint64_t start_us = timed ? obs::NowMicros() : 0;
   Status st = pool_ != nullptr ? pool_->Read(id, out) : FileRead(id, out);
@@ -91,22 +66,11 @@ Status FilePageManager::Read(PageId id, std::vector<uint8_t>* out) const {
 }
 
 Status FilePageManager::Write(PageId id, const std::vector<uint8_t>& data) {
-  UVD_RETURN_NOT_OK(io_status());
   if (stats() != nullptr) stats()->Add(Ticker::kPageWrites);
   UVD_RETURN_NOT_OK(file_->WritePage(id, data.data(), data.size()));
   // Write-through: a resident frame must never serve stale bytes.
   if (pool_ != nullptr) pool_->Put(id, data);
   return Status::OK();
-}
-
-Status FilePageManager::Checkpoint() {
-  UVD_RETURN_NOT_OK(io_status());
-  return file_->Checkpoint();
-}
-
-Status FilePageManager::Close() {
-  UVD_RETURN_NOT_OK(io_status());
-  return file_->Close();
 }
 
 void FilePageManager::RegisterMetrics(obs::MetricsRegistry* registry,

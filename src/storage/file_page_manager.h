@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics_registry.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_manager.h"
@@ -29,28 +28,23 @@ struct FilePageManagerOptions {
 
 /// \brief PageManager over a PagedFile, with an optional buffer pool.
 ///
-/// Latency seam: unlike the in-RAM base class, Read here never sleeps —
-/// it records MEASURED wall time (pool hit or file read, checksum
-/// included) into the shared page-read histogram. The global
-/// SetSimulatedReadLatencyUs knob is ignored by design; a file-backed
-/// manager has a real device to time.
+/// Read records MEASURED wall time (pool hit or file read, checksum
+/// included) into the shared page-read histogram.
 ///
 /// Accounting: kPageReads is billed only when the FILE is read (a pool
 /// miss, or every read with the pool disabled) — pool hits bill
 /// kBufferPoolHits instead, so "page reads" keeps meaning physical I/O.
 /// Writes always reach the file (write-through) and bill kPageWrites.
 ///
-/// Error model: Allocate/AllocateRun cannot return Status (interface
-/// signature), so an allocation failure — a full disk, an injected crash —
-/// parks a sticky error: the call returns kInvalidPageId and EVERY later
-/// operation (Read/Write/Checkpoint/Close) fails with that status. Builds
-/// running over a crashed file therefore surface a typed error through
-/// their normal Status plumbing instead of writing garbage.
+/// Error model: each call returns its own failure — Allocate/AllocateRun
+/// as the Result's Status, Read/Write/Checkpoint/Close as theirs. After an
+/// injected crash the PagedFile handle is dead, so every later write,
+/// sync and checkpoint fails with IOError (paged_file.h).
 ///
 /// Thread safety: same contract as the base class (concurrent reads safe;
 /// concurrent writes safe iff to distinct pages; Allocate/Checkpoint/Close
-/// must not overlap anything). The pool is internally locked, file writes
-/// go to disjoint offsets, and the sticky error has its own mutex.
+/// must not overlap anything). The pool is internally locked and file
+/// reads and writes go to disjoint offsets.
 class FilePageManager : public PageManager {
  public:
   /// Creates a fresh store at `path` (truncating any existing file).
@@ -72,27 +66,23 @@ class FilePageManager : public PageManager {
                (kPageFrameHeaderSize + page_size());
   }
 
-  PageId Allocate() override;
-  PageId AllocateRun(size_t count) override;
+  Result<PageId> Allocate() override;
+  Result<PageId> AllocateRun(size_t count) override;
   Status Read(PageId id, std::vector<uint8_t>* out) const override;
   Status Write(PageId id, const std::vector<uint8_t>& data) override;
 
   /// Durability point — see PagedFile::Checkpoint. Callers stash their
   /// root locator via SetBootstrap first.
-  Status Checkpoint();
+  Status Checkpoint() { return file_->Checkpoint(); }
   /// Checkpoint + close the file. The manager is unusable afterwards.
-  Status Close();
+  Status Close() { return file_->Close(); }
 
   Status SetBootstrap(const std::vector<uint8_t>& blob) {
     return file_->SetBootstrap(blob);
   }
   const std::vector<uint8_t>& bootstrap() const { return file_->bootstrap(); }
 
-  /// First I/O failure parked by an Allocate that could not report it
-  /// (OK if none). Sticky: cleared only by destroying the manager.
-  Status io_status() const;
-
-  /// The underlying file — crash harnesses install their WriteHook here.
+  /// The underlying file — fault harnesses install their FaultHook here.
   PagedFile* file() { return file_.get(); }
   /// The buffer pool, or nullptr when disabled.
   BufferPool* pool() { return pool_.get(); }
@@ -110,13 +100,9 @@ class FilePageManager : public PageManager {
 
   /// Uncached read straight from the file, with kPageReads billing.
   Status FileRead(PageId id, std::vector<uint8_t>* out) const;
-  void ParkError(const Status& st);
 
   std::unique_ptr<PagedFile> file_;
   std::unique_ptr<BufferPool> pool_;  // null when disabled
-
-  mutable Mutex io_mu_;
-  Status io_status_ UVD_GUARDED_BY(io_mu_);
 };
 
 }  // namespace storage

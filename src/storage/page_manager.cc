@@ -1,30 +1,14 @@
 #include "storage/page_manager.h"
 
-#include <atomic>
-#include <chrono>
-#include <thread>
-
 namespace uvd {
 namespace storage {
 
-namespace {
-std::atomic<uint32_t> g_simulated_read_latency_us{0};
-}  // namespace
-
-void PageManager::SetSimulatedReadLatencyUs(uint32_t us) {
-  g_simulated_read_latency_us.store(us, std::memory_order_relaxed);
-}
-
-uint32_t PageManager::SimulatedReadLatencyUs() {
-  return g_simulated_read_latency_us.load(std::memory_order_relaxed);
-}
-
-PageId PageManager::Allocate() {
+Result<PageId> PageManager::Allocate() {
   pages_.emplace_back(page_size_, 0);
   return static_cast<PageId>(pages_.size() - 1);
 }
 
-PageId PageManager::AllocateRun(size_t count) {
+Result<PageId> PageManager::AllocateRun(size_t count) {
   const PageId first = static_cast<PageId>(pages_.size());
   pages_.resize(pages_.size() + count, std::vector<uint8_t>(page_size_, 0));
   return first;
@@ -37,10 +21,6 @@ Status PageManager::Read(PageId id, std::vector<uint8_t>* out) const {
   if (stats_ != nullptr) stats_->Add(Ticker::kPageReads);
   const bool timed = obs::MetricsEnabled();
   const uint64_t start_us = timed ? obs::NowMicros() : 0;
-  const uint32_t latency_us = SimulatedReadLatencyUs();
-  if (latency_us != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
-  }
   *out = pages_[id];
   if (timed) {
     // Histogram recording is a relaxed atomic increment; Read stays safe

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "obs/latency_histogram.h"
@@ -26,21 +27,16 @@ constexpr size_t kDefaultPageSize = 4096;
 
 /// \brief Page-granular storage with I/O tickers.
 ///
-/// The base class IS the in-RAM simulated disk (pages live in a vector;
-/// reads optionally block for SetSimulatedReadLatencyUs to model a device).
+/// The base class IS the in-RAM simulated disk (pages live in a vector).
 /// Every accessor that touches the page table is virtual, so subclasses can
-/// replace the backing store wholesale: FaultInjectionPageManager
-/// (storage/fault_injection.h) wraps the in-RAM table with injected
-/// errors, FilePageManager (storage/file_page_manager.h) stores pages in a
-/// checksummed paged file with an optional buffer pool and reports REAL
-/// I/O time instead of the simulation.
+/// replace the backing store wholesale: FilePageManager
+/// (storage/file_page_manager.h) stores pages in a checksummed paged file
+/// with an optional buffer pool.
 ///
-/// Latency seam: simulated device latency belongs to the in-RAM store
-/// only. Read() here sleeps per the global knob and records the padded
-/// time into the page-read histogram; FilePageManager::Read never sleeps
-/// and records measured file/pool time into the same histogram. Benches
-/// choose the regime explicitly by choosing the backend (plus the knob for
-/// the simulated one) — see docs/TUNING.md "Storage backends".
+/// Error model: every call reports its own failure in its own return
+/// value — Allocate/AllocateRun return Result<PageId> — so a caller never
+/// stores an id the store did not hand out. The one sticky state is a
+/// dead PagedFile handle after an injected crash (storage/paged_file.h).
 ///
 /// Thread safety: concurrent Read calls are safe (Stats tickers are
 /// atomic). Allocate mutates the page table (it can reallocate the backing
@@ -70,38 +66,26 @@ class PageManager {
   virtual uint64_t bytes_on_disk() const { return pages_.size() * page_size_; }
 
   /// Allocates a zero-filled page and returns its id.
-  virtual PageId Allocate();
+  virtual Result<PageId> Allocate();
 
   /// Allocates `count` zero-filled pages with consecutive ids and returns
   /// the first id — the same ids `count` Allocate() calls would hand out,
   /// minus the per-call reallocation, and the arena under parallel
   /// finalization: once the run is reserved, workers may Write its pages
   /// concurrently. Returns the would-be next id when count == 0.
-  virtual PageId AllocateRun(size_t count);
+  virtual Result<PageId> AllocateRun(size_t count);
 
   /// Copies the page contents into *out (resized to page_size()).
-  /// Virtual so backends can swap the store (FilePageManager) or inject
-  /// I/O faults (FaultInjectionPageManager).
   virtual Status Read(PageId id, std::vector<uint8_t>* out) const;
 
   /// Writes data (at most page_size() bytes; shorter data is zero-padded).
   virtual Status Write(PageId id, const std::vector<uint8_t>& data);
 
-  /// Simulated per-read disk latency FOR THE IN-RAM BACKEND: every base
-  /// Read blocks for this many microseconds before returning. 0 (the
-  /// default — tests and figure benches are unaffected) disables the
-  /// sleep. Process-global so throughput benches can put the system into
-  /// the paper's disk-bound regime (Sec. VI: leaf pages and pdfs live on
-  /// disk) without plumbing a knob through every layer. File-backed
-  /// managers ignore it — they have a real device to measure.
-  static void SetSimulatedReadLatencyUs(uint32_t us);
-  static uint32_t SimulatedReadLatencyUs();
-
   /// Per-manager page-read latency distribution in microseconds — the I/O
   /// histogram the metrics registry unifies (register it as e.g.
-  /// "shard0.storage.page.read.latency.us"). For the in-RAM backend the
-  /// simulated latency is included; for FilePageManager it is measured
-  /// file/pool time. Recording is skipped while obs::MetricsEnabled() is
+  /// "shard0.storage.page.read.latency.us"): the measured time of each
+  /// successful read (a vector copy in RAM, file or pool time for
+  /// FilePageManager). Recording is skipped while obs::MetricsEnabled() is
   /// off.
   const obs::LatencyHistogram& read_latency_histogram() const {
     return read_latency_us_;

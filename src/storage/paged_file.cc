@@ -51,9 +51,12 @@ PagedFile& PagedFile::operator=(PagedFile&& other) noexcept {
   page_count_ = other.page_count_;
   durable_page_count_ = other.durable_page_count_;
   bootstrap_ = std::move(other.bootstrap_);
-  write_hook_ = std::move(other.write_hook_);
+  fault_hook_ = std::move(other.fault_hook_);
   write_count_.store(other.write_count_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
+  hooked_read_count_.store(
+      other.hooked_read_count_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   sync_count_.store(other.sync_count_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
   dead_.store(other.dead_.load(std::memory_order_relaxed),
@@ -144,13 +147,16 @@ Status PagedFile::PhysicalWrite(const uint8_t* data, size_t n, uint64_t offset) 
   }
   const uint64_t index = write_count_.fetch_add(1, std::memory_order_relaxed);
   size_t to_write = n;
-  if (write_hook_) {
-    const WriteFault fault = write_hook_(index);
-    if (fault == WriteFault::kCrash) {
+  if (fault_hook_) {
+    const Fault fault = fault_hook_(IoOp::kWrite, index);
+    if (fault == Fault::kError) {
+      return Status::IOError("injected write error");
+    }
+    if (fault == Fault::kCrash) {
       dead_.store(true, std::memory_order_relaxed);
       return Status::IOError("injected crash before write");
     }
-    if (fault == WriteFault::kTorn) {
+    if (fault == Fault::kTorn) {
       to_write = n / 2;  // the sector prefix that "made it"
     }
   }
@@ -214,6 +220,12 @@ Result<uint32_t> PagedFile::AllocatePages(uint32_t count) {
 Status PagedFile::ReadPage(uint32_t id, std::vector<uint8_t>* out) const {
   if (id >= page_count_) {
     return Status::NotFound("page id out of range");
+  }
+  if (fault_hook_ &&
+      fault_hook_(IoOp::kRead,
+                  hooked_read_count_.fetch_add(1, std::memory_order_relaxed)) !=
+          Fault::kNone) {
+    return Status::IOError("injected read error");
   }
   std::vector<uint8_t> frame(kPageFrameHeaderSize + page_size_);
   const ssize_t n =

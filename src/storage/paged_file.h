@@ -26,7 +26,7 @@
 // ignores later orphan writes — or (b) a torn/corrupt metapage, which Open
 // rejects with a typed error. Never a silently wrong page.
 // tests/storage/crash_recovery_test.cc proves this at every enumerated
-// write via SetWriteHook.
+// write via SetFaultHook.
 #ifndef UVD_STORAGE_PAGED_FILE_H_
 #define UVD_STORAGE_PAGED_FILE_H_
 
@@ -65,19 +65,28 @@ constexpr size_t kBootstrapCapacity = 256;
 constexpr uint32_t kPagedFileMagic = 0x55565046;  // "UVPF"
 constexpr uint32_t kPagedFileVersion = 1;
 
-/// Fault decision returned by a write hook (crash-point harness).
-enum class WriteFault {
-  kNone,   ///< Write proceeds normally.
-  kCrash,  ///< Nothing reaches the file; the handle is dead afterwards.
-  kTorn,   ///< Only a prefix of the frame reaches the file, then dead.
+/// The kind of physical operation a fault hook is consulted on.
+enum class IoOp { kRead, kWrite };
+
+/// Fault decision returned by the fault hook.
+enum class Fault {
+  kNone,   ///< The operation proceeds normally.
+  kError,  ///< The operation fails with one IOError; the handle stays alive.
+  kCrash,  ///< Writes only: nothing reaches the file; the handle is dead.
+  kTorn,   ///< Writes only: a prefix of the frame reaches the file, then dead.
 };
 
-/// Test-only hook: consulted before every physical write (data frames and
-/// metapage alike) with a running write index. After a kCrash/kTorn fault
-/// the file handle is DEAD — every later write, sync or checkpoint fails
-/// with IOError, modeling a process that lost its device. Reopen the path
-/// with PagedFile::Open to model the post-crash restart.
-using WriteHook = std::function<WriteFault(uint64_t write_index)>;
+/// Test-only hook: consulted before every physical read and write (data
+/// frames and metapage alike) with the operation kind and a running index
+/// that counts operations of that kind only. Writes are numbered from the
+/// handle's first write (write_count()), so crash harnesses enumerate the
+/// same points whatever reads interleave; reads are numbered from the
+/// hook's installation (unhooked reads pay one branch, no counter). After
+/// a kCrash/kTorn write fault the file handle is DEAD — every later write,
+/// sync or checkpoint fails with IOError, modeling a process that lost its
+/// device. Reopen the path with PagedFile::Open to model the post-crash
+/// restart. On a read, every fault other than kNone is one IOError.
+using FaultHook = std::function<Fault(IoOp op, uint64_t index)>;
 
 /// \brief Checksummed single-file page store.
 ///
@@ -85,8 +94,8 @@ using WriteHook = std::function<WriteFault(uint64_t write_index)>;
 /// offset). Concurrent WritePage calls are safe iff they target distinct,
 /// already-allocated pages (disjoint pwrite offsets). Allocate/AllocateRun/
 /// Checkpoint/Close must not overlap any other call — the same
-/// allocate-then-share phase discipline as PageManager (the crash-hook
-/// counter uses a relaxed atomic so hooked builds stay safe too).
+/// allocate-then-share phase discipline as PageManager (the fault-hook
+/// counters use relaxed atomics so hooked builds stay safe too).
 class PagedFile {
  public:
   ~PagedFile();
@@ -147,8 +156,11 @@ class PagedFile {
   /// crash harness relies on "drop the handle" modeling a crash).
   Status Close();
 
-  /// Installs the crash-point hook (tests only; see WriteHook).
-  void SetWriteHook(WriteHook hook) { write_hook_ = std::move(hook); }
+  /// Installs the fault hook (tests only; see FaultHook). nullptr heals.
+  void SetFaultHook(FaultHook hook) {
+    fault_hook_ = std::move(hook);
+    hooked_read_count_.store(0, std::memory_order_relaxed);
+  }
   /// Physical writes attempted so far (frames + metapages), for
   /// enumerating crash points.
   uint64_t write_count() const {
@@ -170,7 +182,8 @@ class PagedFile {
   }
 
   /// Hook consultation + pwrite of `n` bytes at `offset` (prefix-only for
-  /// kTorn). All physical writes funnel through here.
+  /// kTorn). All physical writes funnel through here, all physical reads
+  /// through ReadPage.
   Status PhysicalWrite(const uint8_t* data, size_t n, uint64_t offset);
   Status WriteMetapage();
   Status WriteZeroFrames(uint32_t first, uint32_t count);
@@ -181,10 +194,12 @@ class PagedFile {
   uint32_t page_count_ = 0;
   uint32_t durable_page_count_ = 0;
   std::vector<uint8_t> bootstrap_;
-  WriteHook write_hook_;
-  // Relaxed atomics: concurrent WritePage calls to distinct pages are part
-  // of the contract, and each bumps the write counter / may trip a fault.
+  FaultHook fault_hook_;
+  // Relaxed atomics: concurrent ReadPage calls, and WritePage calls to
+  // distinct pages, are part of the contract; each bumps its counter and
+  // may trip a fault.
   std::atomic<uint64_t> write_count_{0};
+  mutable std::atomic<uint64_t> hooked_read_count_{0};
   std::atomic<uint64_t> sync_count_{0};
   std::atomic<bool> dead_{false};
 };

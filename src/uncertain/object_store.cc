@@ -1,5 +1,6 @@
 #include "uncertain/object_store.h"
 
+#include "common/logging.h"
 #include "storage/record.h"
 
 namespace uvd {
@@ -65,7 +66,7 @@ Status ObjectStore::BulkLoad(const std::vector<UncertainObject>& objects,
       if (current != storage::kInvalidPageId) {
         UVD_RETURN_NOT_OK(pm_->Write(current, page_buf));
       }
-      current = pm_->Allocate();
+      UVD_ASSIGN_OR_RETURN(current, pm_->Allocate());
       data_pages_.push_back(current);
       page_buf.clear();
       slot = 0;
@@ -80,20 +81,23 @@ Status ObjectStore::BulkLoad(const std::vector<UncertainObject>& objects,
 }
 
 Result<ObjectPtr> ObjectStore::Append(const UncertainObject& object) {
-  if (record_size_ == 0) {
-    // Empty store: adopt this object's layout.
-    record_size_ = RecordSize(object.pdf().num_bars());
-    records_per_page_ = pm_->page_size() / record_size_;
-    if (records_per_page_ == 0) {
-      return Status::InvalidArgument("object record larger than page size");
-    }
-  } else if (RecordSize(object.pdf().num_bars()) != record_size_) {
+  const size_t record_size = RecordSize(object.pdf().num_bars());
+  if (record_size_ != 0 && record_size != record_size_) {
     return Status::InvalidArgument("all objects must use the same bar count");
   }
-  if (data_pages_.empty() || tail_count_ == records_per_page_) {
-    data_pages_.push_back(pm_->Allocate());
+  // An empty store adopts this object's layout — committed only once the
+  // tail page exists, so a failed allocation leaves the store untouched.
+  const size_t per_page = pm_->page_size() / record_size;
+  if (per_page == 0) {
+    return Status::InvalidArgument("object record larger than page size");
+  }
+  if (data_pages_.empty() || tail_count_ == per_page) {
+    UVD_ASSIGN_OR_RETURN(const storage::PageId fresh, pm_->Allocate());
+    data_pages_.push_back(fresh);
     tail_count_ = 0;
   }
+  record_size_ = record_size;
+  records_per_page_ = per_page;
   const storage::PageId page = data_pages_.back();
   // Read-modify-write the tail page.
   std::vector<uint8_t> buf;
@@ -106,6 +110,20 @@ Result<ObjectPtr> ObjectStore::Append(const UncertainObject& object) {
   const ObjectPtr ptr = MakePtr(page, tail_count_);
   ++tail_count_;
   return ptr;
+}
+
+void ObjectStore::DropLastRecord() {
+  UVD_DCHECK(tail_count_ > 0);
+  if (--tail_count_ > 0) return;
+  // The tail page held only this record: drop it (its page stays behind
+  // unused), and an emptied store forgets its adopted layout.
+  data_pages_.pop_back();
+  if (data_pages_.empty()) {
+    record_size_ = 0;
+    records_per_page_ = 0;
+  } else {
+    tail_count_ = static_cast<uint32_t>(records_per_page_);
+  }
 }
 
 void ObjectStore::EncodeState(storage::Encoder* enc) const {

@@ -34,6 +34,11 @@ class ObjectStore {
   /// tail page. The bar count must match the loaded records'.
   Result<ObjectPtr> Append(const UncertainObject& object);
 
+  /// Forgets the record the last successful Append returned, for a caller
+  /// whose insert failed after it: the store is as it was before that
+  /// Append, apart from a page it may have allocated and no longer uses.
+  void DropLastRecord();
+
   /// Reads one record; each call costs one page read (plus decoding).
   Result<UncertainObject> Fetch(ObjectPtr ptr) const;
 

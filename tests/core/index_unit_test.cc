@@ -152,7 +152,7 @@ TEST(IndexUnitTest, StoreLayoutThatOverrunsItsPagesIsCorruption) {
     enc.PutU32(static_cast<uint32_t>(pm->page_size()));     // far too many per page
     enc.PutU32(1);
     enc.PutU32(1);
-    enc.PutU32(pm->Allocate());
+    enc.PutU32(pm->Allocate().ValueOrDie());
     return manifest;
   });
   EXPECT_EQ(OpenDiagramCode(path), StatusCode::kCorruption);

@@ -42,7 +42,7 @@ TEST(UvDiagramTest, BuildPopulatesEverything) {
   auto d = UVDiagram::Build(std::move(objects), domain).ValueOrDie();
   EXPECT_EQ(d.objects().size(), 500u);
   EXPECT_GT(d.index().num_leaves(), 0u);
-  EXPECT_GT(d.rtree().num_leaf_pages(), 0u);
+  EXPECT_GT(d.rtree().ValueOrDie()->num_leaf_pages(), 0u);
   EXPECT_GT(d.store().num_pages(), 0u);
   EXPECT_GT(d.build_stats().total_seconds, 0.0);
   EXPECT_EQ(d.options().method, BuildMethod::kIC);

@@ -107,7 +107,7 @@ TEST(UvIndexIoTest, RejectsUnfinalizedIndex) {
 
 TEST(UvIndexIoTest, RejectsGarbage) {
   storage::PageManager pm(4096);
-  const storage::PageId page = pm.Allocate();
+  const storage::PageId page = pm.Allocate().ValueOrDie();
   ASSERT_TRUE(pm.Write(page, std::vector<uint8_t>(64, 0xAB)).ok());
   auto loaded = LoadUvIndex(&pm, {page, 1}, nullptr);
   EXPECT_FALSE(loaded.ok());

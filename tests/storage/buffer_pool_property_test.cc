@@ -41,7 +41,7 @@ struct Harness {
   std::vector<uint32_t> versions;
 
   Harness() {
-    oracle.AllocateRun(kNumPages);
+    UVD_CHECK_OK(oracle.AllocateRun(kNumPages).status());
     versions.assign(kNumPages, 0);
     for (uint32_t p = 0; p < kNumPages; ++p) {
       UVD_CHECK_OK(oracle.Write(p, Fill(p, 0)));

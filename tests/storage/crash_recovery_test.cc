@@ -124,14 +124,14 @@ TEST(CrashRecoveryTest, EveryCrashPointRecoversLastCheckpointOrFailsTyped) {
   for (uint64_t after : durable_at) metapage_writes.insert(after - 1);
 
   const std::string path = TempPath("victim");
-  for (const WriteFault fault : {WriteFault::kCrash, WriteFault::kTorn}) {
+  for (const Fault fault : {Fault::kCrash, Fault::kTorn}) {
     for (uint64_t c = durable_at.front(); c < total_writes; ++c) {
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
                    " crash_at=" + std::to_string(c));
       std::remove(path.c_str());
       auto file = PagedFile::Create(path, kPageSize).ValueOrDie();
-      file->SetWriteHook([c, fault](uint64_t idx) {
-        return idx == c ? fault : WriteFault::kNone;
+      file->SetFaultHook([c, fault](IoOp op, uint64_t idx) {
+        return op == IoOp::kWrite && idx == c ? fault : Fault::kNone;
       });
       const Status crashed = RunWorkload(file.get(), nullptr, nullptr);
       ASSERT_FALSE(crashed.ok());
@@ -152,7 +152,7 @@ TEST(CrashRecoveryTest, EveryCrashPointRecoversLastCheckpointOrFailsTyped) {
         // Only a torn metapage may make the file unopenable, and then the
         // failure is the typed Corruption — never a wrong recovery.
         EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-        EXPECT_EQ(fault, WriteFault::kTorn);
+        EXPECT_EQ(fault, Fault::kTorn);
         EXPECT_TRUE(metapage_writes.count(c) != 0);
         continue;
       }
@@ -281,7 +281,7 @@ TEST(CrashRecoveryTest, CrashedRecheckpointKeepsServingPreviousState) {
   }
   ASSERT_GT(checkpoint_writes, 1u);
 
-  for (const WriteFault fault : {WriteFault::kCrash, WriteFault::kTorn}) {
+  for (const Fault fault : {Fault::kCrash, Fault::kTorn}) {
     for (uint64_t c = 0; c < checkpoint_writes; ++c) {
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
                    " crash_at=" + std::to_string(c));
@@ -289,9 +289,9 @@ TEST(CrashRecoveryTest, CrashedRecheckpointKeepsServingPreviousState) {
       {
         auto diagram = core::UVDiagram::Open(path).ValueOrDie();
         EXPECT_EQ(DigestDiagram(diagram, batch), want);
-        diagram.file_page_manager()->file()->SetWriteHook(
-            [c, fault](uint64_t idx) {
-              return idx == c ? fault : WriteFault::kNone;
+        diagram.file_page_manager()->file()->SetFaultHook(
+            [c, fault](IoOp op, uint64_t idx) {
+              return op == IoOp::kWrite && idx == c ? fault : Fault::kNone;
             });
         const Status crashed = diagram.Checkpoint();
         ASSERT_FALSE(crashed.ok());
@@ -302,7 +302,7 @@ TEST(CrashRecoveryTest, CrashedRecheckpointKeepsServingPreviousState) {
       auto reopened = core::UVDiagram::Open(path);
       if (!reopened.ok()) {
         EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-        EXPECT_EQ(fault, WriteFault::kTorn);
+        EXPECT_EQ(fault, Fault::kTorn);
         continue;
       }
       EXPECT_EQ(DigestDiagram(reopened.value(), batch), want);
@@ -362,7 +362,7 @@ TEST(CrashRecoveryTest, CrashedShardedRecheckpointKeepsServingPreviousState) {
   }
   const uint64_t total_writes = shard_writes[0] + shard_writes[1];
 
-  for (const WriteFault fault : {WriteFault::kCrash, WriteFault::kTorn}) {
+  for (const Fault fault : {Fault::kCrash, Fault::kTorn}) {
     for (uint64_t c = 0; c < total_writes; ++c) {
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
                    " crash_at=" + std::to_string(c));
@@ -372,9 +372,9 @@ TEST(CrashRecoveryTest, CrashedShardedRecheckpointKeepsServingPreviousState) {
         EXPECT_EQ(DigestSharded(diagram, batch), want);
         const size_t victim = c < shard_writes[0] ? 0 : 1;
         const uint64_t local = victim == 0 ? c : c - shard_writes[0];
-        diagram.shard(victim).fpm->file()->SetWriteHook(
-            [local, fault](uint64_t idx) {
-              return idx == local ? fault : WriteFault::kNone;
+        diagram.shard(victim).fpm->file()->SetFaultHook(
+            [local, fault](IoOp op, uint64_t idx) {
+              return op == IoOp::kWrite && idx == local ? fault : Fault::kNone;
             });
         const Status crashed = diagram.Checkpoint();
         ASSERT_FALSE(crashed.ok());
@@ -384,7 +384,7 @@ TEST(CrashRecoveryTest, CrashedShardedRecheckpointKeepsServingPreviousState) {
       auto reopened = shard::ShardedUVDiagram::Open(prefix);
       if (!reopened.ok()) {
         EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-        EXPECT_EQ(fault, WriteFault::kTorn);
+        EXPECT_EQ(fault, Fault::kTorn);
         continue;
       }
       EXPECT_EQ(DigestSharded(reopened.value(), batch), want);
@@ -412,9 +412,9 @@ TEST(CrashRecoveryTest, CrashBeforeFirstCheckpointNeverYieldsADiagram) {
                    .ValueOrDie();
   const uint64_t already =
       built.file_page_manager()->file()->write_count();
-  built.file_page_manager()->file()->SetWriteHook(
-      [already](uint64_t idx) {
-        return idx >= already ? WriteFault::kCrash : WriteFault::kNone;
+  built.file_page_manager()->file()->SetFaultHook(
+      [already](IoOp op, uint64_t idx) {
+        return op == IoOp::kWrite && idx >= already ? Fault::kCrash : Fault::kNone;
       });
   ASSERT_FALSE(built.Checkpoint().ok());
 

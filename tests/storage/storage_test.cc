@@ -4,8 +4,8 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
-#include "common/timer.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_page_manager.h"
 #include "storage/page_manager.h"
@@ -18,8 +18,8 @@ namespace {
 TEST(PageManagerTest, AllocateAndRoundTrip) {
   Stats stats;
   PageManager pm(4096, &stats);
-  const PageId a = pm.Allocate();
-  const PageId b = pm.Allocate();
+  const PageId a = pm.Allocate().ValueOrDie();
+  const PageId b = pm.Allocate().ValueOrDie();
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(pm.num_pages(), 2u);
@@ -38,7 +38,7 @@ TEST(PageManagerTest, AllocateAndRoundTrip) {
 TEST(PageManagerTest, IoCounting) {
   Stats stats;
   PageManager pm(512, &stats);
-  const PageId p = pm.Allocate();
+  const PageId p = pm.Allocate().ValueOrDie();
   std::vector<uint8_t> buf(10, 7);
   ASSERT_TRUE(pm.Write(p, buf).ok());
   std::vector<uint8_t> out;
@@ -57,14 +57,14 @@ TEST(PageManagerTest, ErrorsOnBadPage) {
 
 TEST(PageManagerTest, RejectsOversizeWrite) {
   PageManager pm(16);
-  const PageId p = pm.Allocate();
+  const PageId p = pm.Allocate().ValueOrDie();
   std::vector<uint8_t> big(17, 1);
   EXPECT_EQ(pm.Write(p, big).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PageManagerTest, OverwriteClearsOldData) {
   PageManager pm(64);
-  const PageId p = pm.Allocate();
+  const PageId p = pm.Allocate().ValueOrDie();
   ASSERT_TRUE(pm.Write(p, std::vector<uint8_t>(64, 0xAB)).ok());
   ASSERT_TRUE(pm.Write(p, std::vector<uint8_t>{1}).ok());
   std::vector<uint8_t> out;
@@ -88,8 +88,8 @@ BufferPool MakePool(PageManager* pm, size_t capacity, Stats* stats) {
 TEST(BufferPoolTest, HitsAndMisses) {
   Stats stats;
   PageManager pm(128, &stats);
-  const PageId a = pm.Allocate();
-  const PageId b = pm.Allocate();
+  const PageId a = pm.Allocate().ValueOrDie();
+  const PageId b = pm.Allocate().ValueOrDie();
   ASSERT_TRUE(pm.Write(a, {1}).ok());
   ASSERT_TRUE(pm.Write(b, {2}).ok());
   stats.Reset();
@@ -107,9 +107,9 @@ TEST(BufferPoolTest, HitsAndMisses) {
 TEST(BufferPoolTest, LruEviction) {
   Stats stats;
   PageManager pm(64, &stats);
-  const PageId a = pm.Allocate();
-  const PageId b = pm.Allocate();
-  const PageId c = pm.Allocate();
+  const PageId a = pm.Allocate().ValueOrDie();
+  const PageId b = pm.Allocate().ValueOrDie();
+  const PageId c = pm.Allocate().ValueOrDie();
   BufferPool pool = MakePool(&pm, 2, &stats);
   std::vector<uint8_t> out;
   ASSERT_TRUE(pool.Read(a, &out).ok());
@@ -128,7 +128,7 @@ TEST(BufferPoolTest, LruEviction) {
 TEST(BufferPoolTest, InvalidateForcesReread) {
   Stats stats;
   PageManager pm(64, &stats);
-  const PageId a = pm.Allocate();
+  const PageId a = pm.Allocate().ValueOrDie();
   BufferPool pool = MakePool(&pm, 4, &stats);
   std::vector<uint8_t> out;
   ASSERT_TRUE(pool.Read(a, &out).ok());
@@ -142,7 +142,7 @@ TEST(BufferPoolTest, InvalidateForcesReread) {
 TEST(BufferPoolTest, PutIsWriteThrough) {
   Stats stats;
   PageManager pm(64, &stats);
-  const PageId a = pm.Allocate();
+  const PageId a = pm.Allocate().ValueOrDie();
   BufferPool pool = MakePool(&pm, 4, &stats);
   std::vector<uint8_t> out;
   ASSERT_TRUE(pm.Write(a, std::vector<uint8_t>(64, 0xAB)).ok());
@@ -158,9 +158,9 @@ TEST(BufferPoolTest, PutIsWriteThrough) {
 TEST(BufferPoolTest, PinnedFramesSurviveEviction) {
   Stats stats;
   PageManager pm(64, &stats);
-  const PageId a = pm.Allocate();
-  const PageId b = pm.Allocate();
-  const PageId c = pm.Allocate();
+  const PageId a = pm.Allocate().ValueOrDie();
+  const PageId b = pm.Allocate().ValueOrDie();
+  const PageId c = pm.Allocate().ValueOrDie();
   ASSERT_TRUE(pm.Write(a, {1}).ok());
   BufferPool pool = MakePool(&pm, 1, &stats);
   auto pinned = pool.Pin(a);
@@ -181,7 +181,7 @@ TEST(BufferPoolTest, ProtectedSegmentResistsScan) {
   Stats stats;
   PageManager pm(64, &stats);
   std::vector<PageId> pages;
-  for (int i = 0; i < 12; ++i) pages.push_back(pm.Allocate());
+  for (int i = 0; i < 12; ++i) pages.push_back(pm.Allocate().ValueOrDie());
   BufferPool pool = MakePool(&pm, 4, &stats);
   std::vector<uint8_t> out;
   // Reference pages 0 and 1 twice: they join the protected segment.
@@ -236,11 +236,12 @@ TEST(FilePageManagerTest, RoundTripAndAccounting) {
   FilePageManagerOptions options;
   options.buffer_pool_pages = 2;
   auto fpm = FilePageManager::Create(path, 256, options, &stats).ValueOrDie();
-  const PageId a = fpm->Allocate();
-  const PageId b = fpm->Allocate();
-  ASSERT_NE(a, kInvalidPageId);
-  ASSERT_NE(b, kInvalidPageId);
-  UVD_CHECK_OK(fpm->io_status());
+  const Result<PageId> a_or = fpm->Allocate();
+  const Result<PageId> b_or = fpm->Allocate();
+  ASSERT_TRUE(a_or.ok()) << a_or.status().ToString();
+  ASSERT_TRUE(b_or.ok()) << b_or.status().ToString();
+  const PageId a = a_or.value();
+  const PageId b = b_or.value();
 
   std::vector<uint8_t> data(256, 0x5A);
   ASSERT_TRUE(fpm->Write(a, data).ok());
@@ -272,40 +273,83 @@ TEST(FilePageManagerTest, RoundTripAndAccounting) {
   std::remove(path.c_str());
 }
 
-TEST(FilePageManagerTest, RealReadsIgnoreTheSimulatedLatencySeam) {
-  // The base PageManager models a 2010-era disk by SLEEPING per read;
-  // FilePageManager does real I/O and must report MEASURED time instead —
-  // reads must not inherit the simulation (the latency seam,
-  // docs/STORAGE.md). 20 ms x 32 reads would be >600 ms if it did.
-  const std::string path = ::testing::TempDir() + "/uvd_fpm_seam";
+TEST(FilePageManagerTest, PoolNeverCachesAFailedRead) {
+  const std::string path = ::testing::TempDir() + "/uvd_fpm_read_fault";
   std::remove(path.c_str());
   Stats stats;
-  auto fpm = FilePageManager::Create(path, 256, {}, &stats).ValueOrDie();
-  const PageId first = fpm->AllocateRun(32);
-  ASSERT_NE(first, kInvalidPageId);
+  FilePageManagerOptions options;
+  options.buffer_pool_pages = 4;
+  auto fpm = FilePageManager::Create(path, 256, options, &stats).ValueOrDie();
+  const PageId p = fpm->Allocate().ValueOrDie();
+  const std::vector<uint8_t> data(256, 0x3C);
+  ASSERT_TRUE(fpm->Write(p, data).ok());
 
-  PageManager::SetSimulatedReadLatencyUs(20000);
-  Timer timer;
+  // The first physical read of p fails: the miss must neither be billed
+  // nor leave a frame behind.
+  fpm->file()->SetFaultHook([](IoOp op, uint64_t index) {
+    return op == IoOp::kRead && index == 0 ? Fault::kError : Fault::kNone;
+  });
+  const uint64_t misses = stats.Get(Ticker::kBufferPoolMisses);
+  const size_t resident = fpm->pool()->size();
   std::vector<uint8_t> out;
-  for (uint32_t i = 0; i < 32; ++i) {
-    ASSERT_TRUE(fpm->Read(first + i, &out).ok());
-  }
-  const double elapsed = timer.ElapsedSeconds();
-  PageManager::SetSimulatedReadLatencyUs(0);
-  EXPECT_LT(elapsed, 0.3) << "FilePageManager::Read slept the simulated "
-                             "latency instead of measuring real I/O";
+  EXPECT_EQ(fpm->Read(p, &out).code(), StatusCode::kIOError);
+  EXPECT_EQ(stats.Get(Ticker::kBufferPoolMisses), misses);
+  EXPECT_EQ(fpm->pool()->size(), resident);
 
-  // The base class keeps the simulation: same knob, in-RAM manager, one
-  // read must take at least the configured 20 ms.
-  PageManager ram(256, &stats);
-  const PageId p = ram.Allocate();
-  PageManager::SetSimulatedReadLatencyUs(20000);
-  Timer ram_timer;
-  ASSERT_TRUE(ram.Read(p, &out).ok());
-  PageManager::SetSimulatedReadLatencyUs(0);
-  EXPECT_GE(ram_timer.ElapsedSeconds(), 0.015);
+  fpm->file()->SetFaultHook(nullptr);
+  ASSERT_TRUE(fpm->Read(p, &out).ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(stats.Get(Ticker::kBufferPoolMisses), misses + 1);
   UVD_CHECK_OK(fpm->Close());
   std::remove(path.c_str());
+}
+
+TEST(FilePageManagerTest, ConcurrentReadersSeeTheWrittenBytes) {
+  // Read takes no manager-wide lock: readers share only the file (pread)
+  // and the internally locked pool. Four threads read every page in
+  // staggered orders, with the pool off and with a pool small enough to
+  // churn, and each must digest exactly the bytes written.
+  constexpr uint32_t kPages = 32;
+  constexpr uint32_t kThreads = 4;
+  constexpr size_t kPageSize = 256;
+  for (const size_t pool_pages : {size_t{0}, size_t{8}}) {
+    SCOPED_TRACE("pool_pages=" + std::to_string(pool_pages));
+    const std::string path = ::testing::TempDir() + "/uvd_fpm_concurrent";
+    std::remove(path.c_str());
+    Stats stats;
+    FilePageManagerOptions options;
+    options.buffer_pool_pages = pool_pages;
+    auto fpm = FilePageManager::Create(path, kPageSize, options, &stats).ValueOrDie();
+    const PageId first = fpm->AllocateRun(kPages).ValueOrDie();
+    uint64_t want = Fnv64(nullptr, 0);
+    for (uint32_t k = 0; k < kPages; ++k) {
+      std::vector<uint8_t> data(kPageSize);
+      for (size_t j = 0; j < kPageSize; ++j) data[j] = static_cast<uint8_t>(k * 31 + j);
+      ASSERT_TRUE(fpm->Write(first + k, data).ok());
+      want = Fnv64(data.data(), data.size(), want);
+    }
+
+    std::vector<uint64_t> digests(kThreads, 0);
+    std::vector<std::thread> readers;
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        std::vector<std::vector<uint8_t>> pages(kPages);
+        for (uint32_t round = 0; round < 3; ++round) {
+          for (uint32_t i = 0; i < kPages; ++i) {
+            const uint32_t k = (i + t * 7) % kPages;
+            if (!fpm->Read(first + k, &pages[k]).ok()) return;
+          }
+        }
+        uint64_t h = Fnv64(nullptr, 0);
+        for (const auto& page : pages) h = Fnv64(page.data(), page.size(), h);
+        digests[t] = h;
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    for (uint32_t t = 0; t < kThreads; ++t) EXPECT_EQ(digests[t], want) << "reader " << t;
+    UVD_CHECK_OK(fpm->Close());
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
