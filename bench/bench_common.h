@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "core/uv_diagram.h"
 #include "datagen/generators.h"
 #include "datagen/workload.h"
+#include "obs/trace_recorder.h"
 
 namespace uvd {
 namespace bench {
@@ -101,10 +104,28 @@ class JsonReport {
 };
 
 /// Builds a UVDiagram over the given objects with external stats, aborting
-/// on error (bench context).
+/// on error (bench context). `build_seconds`, if given, receives the wall
+/// time of UVDiagram::Build (T_c).
 core::UVDiagram BuildDiagram(std::vector<uncertain::UncertainObject> objects,
                              const geom::Box& domain, core::UVDiagramOptions options,
-                             Stats* stats);
+                             Stats* stats, double* build_seconds = nullptr);
+
+/// Span totals keyed "category/name" (obs::TraceRecorder::PhaseTotals);
+/// the span catalog is in docs/OBSERVABILITY.md.
+using PhaseTotals = std::map<std::string, obs::PhaseTotal>;
+
+/// Runs `fn` with library tracing on and returns the totals of the spans
+/// it recorded: the global recorder is cleared first, and tracing is off
+/// again afterwards. Every breakdown column of the benches comes from here.
+PhaseTotals TracePhases(const std::function<void()>& fn);
+
+/// The Fig. 6(c) components of one index path, summed over a workload.
+struct PnnPhases {
+  double index_s = 0;        ///< Index traversal (+ verification).
+  double retrieval_s = 0;    ///< Object (pdf) retrieval.
+  double computation_s = 0;  ///< Qualification-probability computation.
+  double Total() const { return index_s + retrieval_s + computation_s; }
+};
 
 /// Result of running the PNN workload through both index paths. Reported
 /// times include the simulated disk charge (SimulatedIoMs per page read);
@@ -119,8 +140,8 @@ struct PnnWorkloadResult {
   double uv_object_io = 0;     ///< mean object-pdf pages read/query
   double rtree_object_io = 0;
   double avg_answers = 0;      ///< mean answer objects/query
-  rtree::PnnBreakdown uv_breakdown;     // totals over the workload
-  rtree::PnnBreakdown rtree_breakdown;
+  PnnPhases uv_phases;         ///< pnn/* spans plus the simulated I/O charge
+  PnnPhases rtree_phases;      ///< rtree_pnn/* spans plus the charge
 };
 
 /// Runs the fixed uniform query workload through both paths and gathers

@@ -21,13 +21,12 @@ int main() {
 
   std::printf("%12s %12s %16s %16s %12s\n", "index", "Index(ms)", "ObjRetrieval(ms)",
               "QPCalc(ms)", "Total(ms)");
-  auto row = [&](const char* name, const rtree::PnnBreakdown& b) {
-    std::printf("%12s %12.3f %16.3f %16.3f %12.3f\n", name,
-                b.index_seconds * 1e3 / n, b.retrieval_seconds * 1e3 / n,
-                b.computation_seconds * 1e3 / n, b.Total() * 1e3 / n);
+  auto row = [&](const char* name, const bench::PnnPhases& b) {
+    std::printf("%12s %12.3f %16.3f %16.3f %12.3f\n", name, b.index_s * 1e3 / n,
+                b.retrieval_s * 1e3 / n, b.computation_s * 1e3 / n, b.Total() * 1e3 / n);
   };
-  row("UV-diagram", r.uv_breakdown);
-  row("R-tree", r.rtree_breakdown);
+  row("UV-diagram", r.uv_phases);
+  row("R-tree", r.rtree_phases);
   std::printf("\n(|O| = %zu, %d queries)\n", opts.count, bench::kNumQueries);
   return 0;
 }

@@ -5,8 +5,6 @@
 // behaviour this figure demonstrates.
 #include "bench_common.h"
 
-#include "common/timer.h"
-
 int main() {
   using namespace uvd;
   bench::PrintBanner("Fig. 7(a): T_c vs |O| for Basic / ICR / IC",
@@ -28,9 +26,8 @@ int main() {
       Stats stats;
       core::UVDiagramOptions options;
       options.method = methods[m];
-      auto diagram = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                         datagen::DomainFor(opts), options, &stats);
-      seconds[m] = diagram.build_stats().total_seconds;
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts),
+                          options, &stats, &seconds[m]);
     }
     auto cell = [&](double s) {
       static char buf[32];

@@ -16,17 +16,15 @@ int main() {
       Stats stats;
       core::UVDiagramOptions options;
       options.method = core::BuildMethod::kICR;
-      auto d = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                   datagen::DomainFor(opts), options, &stats);
-      icr = d.build_stats().total_seconds;
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts),
+                          options, &stats, &icr);
     }
     {
       Stats stats;
       core::UVDiagramOptions options;
       options.method = core::BuildMethod::kIC;
-      auto d = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                   datagen::DomainFor(opts), options, &stats);
-      ic = d.build_stats().total_seconds;
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts),
+                          options, &stats, &ic);
     }
     std::printf("%10zu %12.2f %12.2f %12.1f\n", n, icr, ic, 100.0 * ic / icr);
   }

@@ -16,17 +16,18 @@ int main() {
     Stats stats;
     core::UVDiagramOptions options;
     options.method = core::BuildMethod::kICR;
-    auto d = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                 datagen::DomainFor(opts), options, &stats);
-    const auto& bs = d.build_stats();
+    auto phases = bench::TracePhases([&] {
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts),
+                          options, &stats);
+    });
     // Step-1 seed time belongs to Algorithm 2, so it is charged to the
-    // pruning component (BuildStats keeps it separate since the
-    // double-count fix).
-    const double prune = bs.seed_seconds + bs.pruning_seconds;
-    const double total = prune + bs.robject_seconds + bs.indexing_seconds;
+    // pruning component (cr/seed and cr/prune are disjoint spans).
+    const double prune = phases["cr/seed"].seconds() + phases["cr/prune"].seconds();
+    const double robject = phases["build/robject"].seconds();
+    const double indexing = phases["build/stage2"].seconds();
+    const double total = prune + robject + indexing;
     std::printf("%10zu %14.1f %16.1f %12.1f\n", n, 100.0 * prune / total,
-                100.0 * bs.robject_seconds / total,
-                100.0 * bs.indexing_seconds / total);
+                100.0 * robject / total, 100.0 * indexing / total);
   }
   return 0;
 }

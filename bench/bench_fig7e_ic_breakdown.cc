@@ -12,16 +12,17 @@ int main() {
     opts.count = n;
     opts.seed = 42;
     Stats stats;
-    auto d = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                 datagen::DomainFor(opts), {}, &stats);
-    const auto& bs = d.build_stats();
+    auto phases = bench::TracePhases([&] {
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts), {},
+                          &stats);
+    });
     // Step-1 seed time belongs to Algorithm 2, so it is charged to the
-    // pruning component (BuildStats keeps it separate since the
-    // double-count fix).
-    const double prune = bs.seed_seconds + bs.pruning_seconds;
-    const double total = prune + bs.indexing_seconds;
+    // pruning component (cr/seed and cr/prune are disjoint spans).
+    const double prune = phases["cr/seed"].seconds() + phases["cr/prune"].seconds();
+    const double indexing = phases["build/stage2"].seconds();
+    const double total = prune + indexing;
     std::printf("%10zu %14.1f %12.1f\n", n, 100.0 * prune / total,
-                100.0 * bs.indexing_seconds / total);
+                100.0 * indexing / total);
   }
   return 0;
 }

@@ -19,15 +19,13 @@ int main() {
       Stats stats;
       core::UVDiagramOptions options;
       options.method = core::BuildMethod::kICR;
-      auto d = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                   datagen::DomainFor(opts), options, &stats);
-      icr = d.build_stats().total_seconds;
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts),
+                          options, &stats, &icr);
     }
     {
       Stats stats;
-      auto d = bench::BuildDiagram(datagen::GenerateUniform(opts),
-                                   datagen::DomainFor(opts), {}, &stats);
-      ic = d.build_stats().total_seconds;
+      bench::BuildDiagram(datagen::GenerateUniform(opts), datagen::DomainFor(opts), {},
+                          &stats, &ic);
     }
     std::printf("%10.0f %12.2f %12.2f\n", diameter, icr, ic);
   }

@@ -26,11 +26,13 @@
 // against the serial build (the CI cross-check step and a ctest smoke run
 // exactly that; exits non-zero on any mismatch).
 //
+// Every timing column is a trace-span total (docs/OBSERVABILITY.md), read
+// with library tracing on; total_s times UVDiagram::Build itself.
 // `--json <path>` additionally writes every measured cell as a flat JSON
 // record (method, shape, threads, kernel, traversal, stage wall clocks,
 // the stage-2 wall split member/prefix/route/subtree/stitch/finalize, the
-// stage-1 phase breakdown descent/decode/kernel in aggregate CPU
-// seconds) for bench history tracking — see BENCH_stage1.json
+// stage-1 phase breakdown descent/decode/kernel as wall seconds summed
+// over workers) for bench history tracking — see BENCH_stage1.json
 // at the repo root.
 #include "bench_common.h"
 
@@ -142,17 +144,19 @@ int RunTraversalSmoke() {
     options.method = core::BuildMethod::kICR;
     options.build_threads = 1;
     options.cr.traversal_mode = modes[m];
-    const auto d =
-        core::UVDiagram::Build(objects, domain, options, &stats).ValueOrDie();
-    digests[m] = Fnv1a(SerializedIndex(d));
+    auto phases = bench::TracePhases([&] {
+      const auto d =
+          core::UVDiagram::Build(objects, domain, options, &stats).ValueOrDie();
+      digests[m] = Fnv1a(SerializedIndex(d));
+    });
     node_visits[m] = stats.Get(Ticker::kRtreeNodeVisits);
-    const auto& bs = d.build_stats();
     std::printf(
         "traversal=%-10s stage1 %.3fs (descent %.3f decode %.3f kernel %.3f) "
         "node_visits %llu digest %016llx\n",
-        rtree::TraversalModeName(modes[m]), bs.stage1_wall_seconds,
-        bs.traversal_seconds - bs.decode_seconds, bs.decode_seconds,
-        bs.kernel_seconds, static_cast<unsigned long long>(node_visits[m]),
+        rtree::TraversalModeName(modes[m]), phases["build/stage1"].seconds(),
+        phases["cr/traversal"].seconds() - phases["rtree/decode"].seconds(),
+        phases["rtree/decode"].seconds(), phases["cr/kernel"].seconds(),
+        static_cast<unsigned long long>(node_visits[m]),
         static_cast<unsigned long long>(digests[m]));
   }
   if (digests[0] != digests[1]) {
@@ -248,14 +252,18 @@ int main(int argc, char** argv) {
           options.method = method;
           options.build_threads = threads;
           options.cr.traversal_mode = traversals[t];
-          auto diagram = bench::BuildDiagram(objects, datagen::DomainFor(opts),
-                                             options, &stats);
-          const core::BuildStats& bs = diagram.build_stats();
-          s1_wall[t] = bs.stage1_wall_seconds;
+          double total_s = 0;
+          auto phases = bench::TracePhases([&] {
+            bench::BuildDiagram(objects, datagen::DomainFor(opts), options, &stats,
+                                &total_s);
+          });
+          const auto s = [&phases](const char* phase) { return phases[phase].seconds(); };
+          const double descent = s("cr/traversal") - s("rtree/decode");
+          s1_wall[t] = s("build/stage1");
           if (traversals[t] == rtree::TraversalMode::kShared) {
-            breakdown[0] = bs.traversal_seconds - bs.decode_seconds;
-            breakdown[1] = bs.decode_seconds;
-            breakdown[2] = bs.kernel_seconds;
+            breakdown[0] = descent;
+            breakdown[1] = s("rtree/decode");
+            breakdown[2] = s("cr/kernel");
           }
           report.BeginRecord();
           report.Add("method", core::BuildMethodName(method));
@@ -266,20 +274,21 @@ int main(int argc, char** argv) {
           report.Add("simd", geom::batch::SimdEnabled() ? geom::batch::SimdIsa()
                                                         : "none");
           report.Add("traversal", rtree::TraversalModeName(traversals[t]));
-          report.Add("stage1_wall_s", bs.stage1_wall_seconds);
-          report.Add("stage2_wall_s", bs.stage2_wall_seconds);
-          // Stage-2 wall split by phase (BuildStats::stage2_*_seconds).
-          report.Add("stage2_member_s", bs.stage2_member_seconds);
-          report.Add("stage2_prefix_s", bs.stage2_prefix_seconds);
-          report.Add("stage2_route_s", bs.stage2_route_seconds);
-          report.Add("stage2_subtree_s", bs.stage2_subtree_seconds);
-          report.Add("stage2_stitch_s", bs.stage2_stitch_seconds);
-          report.Add("stage2_finalize_s", bs.stage2_finalize_seconds);
-          report.Add("total_s", bs.total_seconds);
-          // Aggregate CPU seconds across workers (can exceed the walls).
-          report.Add("descent_cpu_s", bs.traversal_seconds - bs.decode_seconds);
-          report.Add("decode_cpu_s", bs.decode_seconds);
-          report.Add("kernel_cpu_s", bs.kernel_seconds);
+          report.Add("stage1_wall_s", s1_wall[t]);
+          report.Add("stage2_wall_s", s("build/stage2"));
+          // Stage-2 wall split by phase (the build/stage2_* spans).
+          report.Add("stage2_member_s", s("build/stage2_member"));
+          report.Add("stage2_prefix_s", s("build/stage2_prefix"));
+          report.Add("stage2_route_s", s("build/stage2_route"));
+          report.Add("stage2_subtree_s", s("build/stage2_subtree"));
+          report.Add("stage2_stitch_s", s("build/stage2_stitch"));
+          report.Add("stage2_finalize_s", s("build/stage2_finalize"));
+          report.Add("total_s", total_s);
+          // Wall seconds summed over workers (not thread CPU time; can
+          // exceed the stage-1 wall).
+          report.Add("descent_wall_sum_s", descent);
+          report.Add("decode_wall_sum_s", s("rtree/decode"));
+          report.Add("kernel_wall_sum_s", s("cr/kernel"));
         }
         std::printf("%8d | %11.2f %10.2f %7.2fx | %8.2f / %6.2f / %6.2f\n",
                     threads, s1_wall[0], s1_wall[1], s1_wall[0] / s1_wall[1],
@@ -294,8 +303,9 @@ int main(int argc, char** argv) {
       "across thread counts, frontier depths, kernels and traversals.\n"
       "The shared columns reuse a per-worker traversal\n"
       "session over Morton-ordered anchor tiles with the per-anchor columns\n"
-      "as their oracle; descent/decode/kernel split stage-1 CPU seconds by\n"
-      "phase (tree descent vs leaf decode vs pruning kernels).\n");
+      "as their oracle; descent/decode/kernel split stage-1 wall seconds,\n"
+      "summed over workers, by phase (tree descent vs leaf decode vs pruning\n"
+      "kernels).\n");
   report.WriteTo(json_path);
   return 0;
 }

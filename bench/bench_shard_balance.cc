@@ -130,8 +130,10 @@ int main(int argc, char** argv) {
       options.num_shards = num_shards;
       options.partitioning = mode;
       options.diagram.build_threads = ThreadPool::DefaultThreads();
+      Timer build_timer;
       auto sharded =
           shard::ShardedUVDiagram::Build(objects, domain, options).ValueOrDie();
+      const double build_seconds = build_timer.ElapsedSeconds();
 
       std::vector<size_t> shard_objects, shard_leaves;
       size_t registrations = 0;  // the "replicas" column: registrations / |O|
@@ -161,7 +163,7 @@ int main(int argc, char** argv) {
       all_identical = all_identical && identical;
       std::printf("%10s %10s %8.2f %8.2f %8.2fx %8.2f %10.1f %8.2f %10s\n",
                   clustered ? "clustered" : "uniform", ModeName(mode),
-                  sharded.build_stats().total_seconds, Imbalance(shard_objects),
+                  build_seconds, Imbalance(shard_objects),
                   static_cast<double>(registrations) /
                       static_cast<double>(data.count),
                   Imbalance(shard_leaves),

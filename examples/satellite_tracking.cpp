@@ -37,13 +37,12 @@ int main() {
 
   // 200 incident sites; measure both query paths.
   const auto incidents = datagen::UniformQueryPoints(200, domain, 7);
-  rtree::PnnBreakdown uv_bd, rt_bd;
   size_t answers_total = 0;
 
   diagram.stats().Reset();
   Timer uv_timer;
   for (const auto& q : incidents) {
-    answers_total += diagram.QueryPnn(q, &uv_bd).ValueOrDie().size();
+    answers_total += diagram.QueryPnn(q).ValueOrDie().size();
   }
   const double uv_ms = uv_timer.ElapsedMillis() / incidents.size();
   const uint64_t uv_io = diagram.stats().Get(Ticker::kUvIndexLeafReads);
@@ -51,7 +50,7 @@ int main() {
   diagram.stats().Reset();
   Timer rt_timer;
   for (const auto& q : incidents) {
-    UVD_CHECK(diagram.QueryPnnWithRtree(q, &rt_bd).ok());
+    UVD_CHECK(diagram.QueryPnnWithRtree(q).ok());
   }
   const double rt_ms = rt_timer.ElapsedMillis() / incidents.size();
   const uint64_t rt_io = diagram.stats().Get(Ticker::kRtreeLeafReads);

@@ -42,8 +42,6 @@ const char* TickerName(Ticker t) {
       return "query.cache.promotions";
     case Ticker::kQueryCacheDemotions:
       return "query.cache.demotions";
-    case Ticker::kQueryCacheWarmInserts:
-      return "query.cache.warm.inserts";
     case Ticker::kLeafMemoHits:
       return "rtree.leafmemo.hits";
     case Ticker::kLeafMemoMisses:

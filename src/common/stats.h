@@ -31,7 +31,6 @@ enum class Ticker : uint32_t {
   kQueryCacheMisses,    ///< Leaf page-list lookups that read through to disk.
   kQueryCachePromotions,  ///< Probationary entries promoted on re-reference.
   kQueryCacheDemotions,   ///< Protected entries demoted on segment overflow.
-  kQueryCacheWarmInserts, ///< Leaves pre-populated from UV-partition results.
   kLeafMemoHits,        ///< Traversal-session leaf decodes served from the memo.
   kLeafMemoMisses,      ///< Traversal-session leaf decodes that read the page.
   kNumTickers,  // must be last

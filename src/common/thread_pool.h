@@ -12,6 +12,7 @@
 #define UVD_COMMON_THREAD_POOL_H_
 
 #include <functional>
+#include <memory>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -145,6 +146,26 @@ class WaitGroup {
   CondVar cv_;
   int remaining_ UVD_GUARDED_BY(mu_);
 };
+
+/// Runs fn(0), ..., fn(workers - 1) as tasks on `pool` and waits for
+/// exactly those tasks (a WaitGroup, not the pool-global Wait: the pool
+/// may be shared with other in-flight work, e.g. sibling shard builds).
+/// With a null pool or one worker, fn(0) runs inline on the calling
+/// thread, so one code path serves every worker count.
+inline void RunWorkers(ThreadPool* pool, int workers, const std::function<void(int)>& fn) {
+  if (pool == nullptr || workers <= 1) {
+    fn(0);
+    return;
+  }
+  auto done = std::make_shared<WaitGroup>(workers);
+  for (int w = 0; w < workers; ++w) {
+    pool->Submit([fn, w, done] {
+      fn(w);
+      done->Done();
+    });
+  }
+  done->Wait();
+}
 
 }  // namespace uvd
 

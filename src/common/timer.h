@@ -1,5 +1,5 @@
-// Wall-clock timing utilities used by the benchmark harness and the
-// construction-time breakdowns (Fig. 6(c), Fig. 7(d)/(e)).
+// Wall-clock stopwatch for benches, examples and tests. Library phase
+// timing goes through UVD_TRACE_SPAN (obs/trace_recorder.h).
 #ifndef UVD_COMMON_TIMER_H_
 #define UVD_COMMON_TIMER_H_
 
@@ -29,21 +29,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Adds the scope's elapsed wall time into *sink (seconds) on destruction.
-/// Used to attribute time to phases without restructuring control flow.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ~ScopedTimer() { *sink_ += timer_.ElapsedSeconds(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_;
-  Timer timer_;
 };
 
 }  // namespace uvd

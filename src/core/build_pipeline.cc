@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "core/uv_cell.h"
 #include "obs/trace_recorder.h"
 
@@ -100,12 +99,6 @@ std::vector<geom::Circle> RegionsOf(const std::vector<uncertain::UncertainObject
 /// floating-point sums are the same for every worker count, bit for bit.
 struct StageResult {
   std::vector<int> index_ids;      // ids whose outside regions describe U_i
-  double seed_seconds = 0.0;
-  double prune_seconds = 0.0;
-  double robject_seconds = 0.0;
-  double traversal_seconds = 0.0;
-  double decode_seconds = 0.0;
-  double kernel_seconds = 0.0;
   double i_prune_frac = 0.0;
   double c_prune_frac = 0.0;
   double cr_count = 0.0;
@@ -124,7 +117,7 @@ StageResult RunObjectStage(const std::vector<uncertain::UncertainObject>& object
   StageResult r;
   switch (method) {
     case BuildMethod::kBasic: {
-      ScopedTimer t(&r.robject_seconds);
+      UVD_TRACE_SPAN("build", "robject");
       const UVCell cell = BuildExactUvCell(objects, i, domain, stats, kernel);
       r.index_ids = cell.RObjects();
       r.r_count = static_cast<double>(r.index_ids.size());
@@ -132,17 +125,12 @@ StageResult RunObjectStage(const std::vector<uncertain::UncertainObject>& object
     }
     case BuildMethod::kICR: {
       const CrResult cr = finder.Find(i, ws);
-      r.seed_seconds = cr.seed_seconds;
-      r.prune_seconds = cr.prune_seconds;
-      r.traversal_seconds = cr.traversal_seconds;
-      r.decode_seconds = cr.decode_seconds;
-      r.kernel_seconds = cr.kernel_seconds;
       r.i_prune_frac = 1.0 - static_cast<double>(cr.after_i_pruning) / denom;
       r.c_prune_frac = 1.0 - static_cast<double>(cr.cr_objects.size()) / denom;
       r.cr_count = static_cast<double>(cr.cr_objects.size());
       {
         // Refinement: exact r-objects from the candidates.
-        ScopedTimer t(&r.robject_seconds);
+        UVD_TRACE_SPAN("build", "robject");
         const UVCell cell = BuildUvCellFromCandidates(objects, i, cr.cr_objects,
                                                       domain, stats, kernel);
         r.index_ids = cell.RObjects();
@@ -152,11 +140,6 @@ StageResult RunObjectStage(const std::vector<uncertain::UncertainObject>& object
     }
     case BuildMethod::kIC: {
       const CrResult cr = finder.Find(i, ws);
-      r.seed_seconds = cr.seed_seconds;
-      r.prune_seconds = cr.prune_seconds;
-      r.traversal_seconds = cr.traversal_seconds;
-      r.decode_seconds = cr.decode_seconds;
-      r.kernel_seconds = cr.kernel_seconds;
       r.i_prune_frac = 1.0 - static_cast<double>(cr.after_i_pruning) / denom;
       r.c_prune_frac = 1.0 - static_cast<double>(cr.cr_objects.size()) / denom;
       r.cr_count = static_cast<double>(cr.cr_objects.size());
@@ -168,83 +151,59 @@ StageResult RunObjectStage(const std::vector<uncertain::UncertainObject>& object
 }
 
 void Accumulate(const StageResult& r, BuildStats* s) {
-  s->seed_seconds += r.seed_seconds;
-  s->pruning_seconds += r.prune_seconds;
-  s->robject_seconds += r.robject_seconds;
-  s->traversal_seconds += r.traversal_seconds;
-  s->decode_seconds += r.decode_seconds;
-  s->kernel_seconds += r.kernel_seconds;
   s->i_pruning_ratio += r.i_prune_frac;
   s->c_pruning_ratio += r.c_prune_frac;
   s->avg_cr_objects += r.cr_count;
   s->avg_r_objects += r.r_count;
 }
 
-/// Stage 1 materialized across `workers` from `pool` (nullable when
-/// workers <= 1): results land positionally, in any order, and per-worker
-/// Stats shards are merged into `stats` before returning. A worker stops at
-/// its first R-tree leaf-read failure, which is returned (the lowest
-/// worker's when several fail). Shared by ComputeStage1Candidates and
-/// RunBuildPipeline.
+/// Stage 1 materialized across `workers` from `pool` (run inline when the
+/// pool is null or there is one worker): results land positionally, in any
+/// order, and per-worker Stats shards are merged into `stats` before
+/// returning. A worker stops at its first R-tree leaf-read failure, which
+/// is returned (the lowest worker's when several fail). Shared by
+/// ComputeStage1Candidates and RunBuildPipeline.
 Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& objects,
                            const rtree::RTree& tree, const geom::Box& domain,
                            const BuildPipelineOptions& options, int workers,
                            ThreadPool* pool, std::vector<StageResult>* results,
                            Stats* stats) {
+  UVD_TRACE_SPAN("build", "stage1");
   const size_t n = objects.size();
   const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
   results->resize(n);
-  const bool tiled = options.cr.traversal_mode == rtree::TraversalMode::kShared;
-  if (workers <= 1 || pool == nullptr) {
-    const CrObjectFinder finder(objects, tree, domain, options.cr, stats);
-    CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, stats);
-    // The Morton sweep matters even single-threaded: the session's pool /
-    // bound / memo only pay off when consecutive anchors are spatially
-    // adjacent, and ids are in dataset order (spatially random). Results
-    // land positionally, so the sweep order never shows in the output.
-    std::vector<uint32_t> order;
-    if (tiled) order = MortonOrder(objects, domain);
-    for (size_t j = 0; j < n && ws.status().ok(); ++j) {
-      const size_t i = tiled ? order[j] : j;
-      (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
-                                     denom, options.cr.kernel_mode, stats, &ws);
-    }
-    return ws.status();
-  }
   // Tiled Morton sweep under kShared: workers claim contiguous tiles of
   // the space-filling order, so each session's frontier/bound/memo sees
-  // spatially adjacent anchors back to back. Results land positionally
-  // ((*results)[i]) and every per-object output is state-independent, so
-  // the claim interleaving and tile size never show in the output.
+  // spatially adjacent anchors back to back (ids are in dataset order,
+  // which is spatially random, so this matters for one worker too).
+  // Results land positionally ((*results)[i]) and every per-object output
+  // is state-independent, so the claim interleaving and tile size never
+  // show in the output.
+  const bool tiled = options.cr.traversal_mode == rtree::TraversalMode::kShared;
   std::vector<uint32_t> order;
   if (tiled) order = MortonOrder(objects, domain);
   const size_t tile = tiled ? kTraversalTileSize : 1;
   std::vector<Stats> shards(static_cast<size_t>(workers));
   std::vector<Status> failures(static_cast<size_t>(workers));
   std::atomic<size_t> next{0};
-  auto done = std::make_shared<WaitGroup>(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool->Submit([&, w, done] {
-      UVD_TRACE_SPAN("build", "stage1_worker");
-      Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
-      const CrObjectFinder finder(objects, tree, domain, options.cr, shard);
-      CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, shard);
-      while (ws.status().ok()) {
-        const size_t claim = next.fetch_add(1, std::memory_order_relaxed);
-        const size_t begin = claim * tile;
-        if (begin >= n) break;
-        const size_t end = std::min(n, begin + tile);
-        for (size_t j = begin; j < end; ++j) {
-          const size_t i = tiled ? order[j] : j;
-          (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
-                                         denom, options.cr.kernel_mode, shard, &ws);
-        }
+  RunWorkers(pool, workers, [&](int w) {
+    UVD_TRACE_SPAN("build", "stage1_worker");
+    Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
+    const CrObjectFinder finder(objects, tree, domain, options.cr, shard);
+    CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, shard);
+    while (ws.status().ok()) {
+      const size_t claim = next.fetch_add(1, std::memory_order_relaxed);
+      const size_t begin = claim * tile;
+      if (begin >= n) break;
+      const size_t end = std::min(n, begin + tile);
+      for (size_t j = begin; j < end; ++j) {
+        const size_t i = tiled ? order[j] : j;
+        (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
+                                       denom, options.cr.kernel_mode, shard, &ws);
       }
-      failures[static_cast<size_t>(w)] = ws.status();
-      done->Done();
-    });
-  }
-  done->Wait();
+    }
+    failures[static_cast<size_t>(w)] = ws.status();
+  });
   if (stats != nullptr) {
     for (const Stats& shard : shards) stats->MergeFrom(shard);
   }
@@ -274,25 +233,14 @@ void NormalizeBuildStats(size_t n, BuildStats* s) {
 }  // namespace
 
 Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
-                 int workers, int max_depth, UVIndex* index, BuildStats* build_stats) {
+                 int workers, int max_depth, UVIndex* index) {
   UVD_TRACE_SPAN("build", "stage2");
   UVIndex::PartitionedInsertOptions popts;
   popts.threads = workers;
   popts.max_depth = max_depth;
-  UVIndex::PartitionedInsertReport report;
-  UVD_RETURN_NOT_OK(
-      index->InsertObjectsPartitioned(std::move(items), pool, popts, &report));
-  Timer finalize_timer;
-  UVD_RETURN_NOT_OK(index->FinalizeWith(pool, workers));
-  if (build_stats != nullptr) {
-    build_stats->stage2_member_seconds = report.member_seconds;
-    build_stats->stage2_prefix_seconds = report.prefix_seconds;
-    build_stats->stage2_route_seconds = report.route_seconds;
-    build_stats->stage2_subtree_seconds = report.subtree_seconds;
-    build_stats->stage2_stitch_seconds = report.stitch_seconds;
-    build_stats->stage2_finalize_seconds = finalize_timer.ElapsedSeconds();
-  }
-  return Status::OK();
+  UVD_RETURN_NOT_OK(index->InsertObjectsPartitioned(std::move(items), pool, popts));
+  UVD_TRACE_SPAN("build", "stage2_finalize");
+  return index->FinalizeWith(pool, workers);
 }
 
 Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
@@ -308,24 +256,18 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
   const int workers =
       options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads();
 
-  BuildStats local;
-  Timer total_timer;
   std::optional<ThreadPool> pool;
   if (workers > 1) pool.emplace(workers);
   ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
   std::vector<StageResult> results;
-  {
-    UVD_TRACE_SPAN("build", "stage1");
-    Timer stage1_timer;
-    UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
-                                            pool_ptr, &results, stats));
-    local.stage1_wall_seconds = stage1_timer.ElapsedSeconds();
-  }
+  UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
+                                          pool_ptr, &results, stats));
   // Accumulate the per-object BuildStats deltas in id order — the same
   // floating-point summation order for every worker count, bit for bit.
+  BuildStats local;
   for (size_t i = 0; i < n; ++i) Accumulate(results[i], &local);
+  NormalizeBuildStats(n, &local);
 
-  Timer stage2_timer;
   std::vector<UVIndex::BulkInsertItem> items(n);
   for (size_t i = 0; i < n; ++i) {
     items[i].region = objects[i].region();
@@ -335,15 +277,8 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
     results[i].index_ids.clear();
     results[i].index_ids.shrink_to_fit();
   }
-  {
-    ScopedTimer t(&local.indexing_seconds);
-    UVD_RETURN_NOT_OK(RunStage2(std::move(items), pool_ptr, workers,
-                                options.stage2_max_depth, index, &local));
-  }
-  local.stage2_wall_seconds = stage2_timer.ElapsedSeconds();
-
-  local.total_seconds = total_timer.ElapsedSeconds();
-  NormalizeBuildStats(n, &local);
+  UVD_RETURN_NOT_OK(
+      RunStage2(std::move(items), pool_ptr, workers, options.stage2_max_depth, index));
   if (build_stats != nullptr) *build_stats = local;
   return Status::OK();
 }
@@ -359,26 +294,19 @@ Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& ob
       options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads(),
       n > 0 ? static_cast<int>(n) : 1);
 
-  BuildStats local;
-  Timer total_timer;
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
   std::vector<StageResult> results;
-  if (workers <= 1) {
-    UVD_RETURN_NOT_OK(
-        RunStage1Materialized(objects, tree, domain, options, 1, nullptr, &results, stats));
-  } else {
-    ThreadPool pool(workers);
-    UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
-                                            &pool, &results, stats));
-  }
-  local.stage1_wall_seconds = total_timer.ElapsedSeconds();
+  UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
+                                          pool ? &*pool : nullptr, &results, stats));
 
+  BuildStats local;
   index_ids->clear();
   index_ids->reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Accumulate(results[i], &local);
     index_ids->push_back(std::move(results[i].index_ids));
   }
-  local.total_seconds = total_timer.ElapsedSeconds();
   NormalizeBuildStats(n, &local);
   if (build_stats != nullptr) *build_stats = local;
   return Status::OK();

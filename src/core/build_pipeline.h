@@ -38,7 +38,7 @@
 //     determinism oracle.
 //
 // Determinism guarantee: the quad-tree structure, leaf tuples, page layout
-// and every non-timing BuildStats field are byte-identical to inserting
+// and every BuildStats field are byte-identical to inserting
 // the objects one by one with UVIndex::InsertObject, for every worker
 // count, frontier depth, KernelMode and TraversalMode. Stats tickers are
 // exact across worker counts and depths too (the partitioned path replays
@@ -50,11 +50,10 @@
 // config-dependent under kShared (that saved work is the point); every
 // decision-count ticker still matches kPerAnchor exactly.
 //
-// Timing fields (seed/pruning/robject seconds) are summed across workers,
-// i.e. aggregate CPU seconds; with build_threads > 1 they can exceed
-// total_seconds, which stays wall-clock. stage1_wall_seconds /
-// stage2_wall_seconds report the two phases' wall clocks alongside those
-// sums.
+// Phase timing is trace spans only (obs/trace_recorder.h, catalog in
+// docs/OBSERVABILITY.md): build/stage1 and build/stage2 are the stage
+// walls; cr/*, rtree/decode and build/robject are per-object phases summed
+// across workers; build/stage2_* split RunStage2.
 #ifndef UVD_CORE_BUILD_PIPELINE_H_
 #define UVD_CORE_BUILD_PIPELINE_H_
 
@@ -92,45 +91,10 @@ enum class BuildMethod {
 
 const char* BuildMethodName(BuildMethod m);
 
-/// Construction-time decomposition and pruning diagnostics
-/// (Fig. 7(a)-(g)). With build_threads > 1 the per-stage timing fields are
-/// aggregate CPU seconds across workers; every other non-wall field is
-/// accumulated in id order and is bit-identical to the serial build.
+/// Pruning diagnostics (Fig. 7(b)/(f)): per-object means accumulated in
+/// id order, bit-identical for every worker count. The Fig. 7(a)/(c)-(e)
+/// time breakdowns are the build's trace spans.
 struct BuildStats {
-  double seed_seconds = 0.0;      ///< Initial possible regions (Step 1).
-  double pruning_seconds = 0.0;   ///< I- + C-pruning (Steps 2-3).
-  double robject_seconds = 0.0;   ///< Exact cell / r-object generation.
-  double indexing_seconds = 0.0;  ///< Algorithm 3 insertions.
-  double total_seconds = 0.0;     ///< Wall clock for the whole build.
-
-  /// Wall clock per stage, reported alongside the per-worker CPU sums
-  /// above (which overstate per-stage time whenever build_threads > 1 —
-  /// the Fig. 7 breakdown caveat). Stage 1 is candidate generation; stage
-  /// 2 is insertion + stitch + Finalize. The stages are disjoint phases.
-  double stage1_wall_seconds = 0.0;
-  double stage2_wall_seconds = 0.0;
-
-  /// Wall-clock split of RunStage2 by phase: the five phases of
-  /// UVIndex::InsertObjectsPartitioned (its PartitionedInsertReport),
-  /// then Finalize. stage2_wall_seconds minus their sum is the
-  /// BulkInsertItem assembly (cr-region copies) before RunStage2.
-  double stage2_member_seconds = 0.0;    ///< Member record materialization.
-  double stage2_prefix_seconds = 0.0;    ///< Serial prefix insertion.
-  double stage2_route_seconds = 0.0;     ///< Scaffold overlap routing.
-  double stage2_subtree_seconds = 0.0;   ///< Parallel subtree insertion.
-  double stage2_stitch_seconds = 0.0;    ///< Event merge + renumbering.
-  double stage2_finalize_seconds = 0.0;  ///< Leaf-page writes (FinalizeWith).
-
-  /// Orthogonal split of stage-1 CPU seconds by where the cycles went
-  /// (the bench's traversal-phase breakdown; aggregate across workers like
-  /// the fields above). traversal covers both R-tree queries of Algorithm
-  /// 2 end to end; decode is its leaf-page share (descent = traversal -
-  /// decode); kernel is C-pruning + seed-widening kernel time. All zero
-  /// for kBasic, which never runs Algorithm 2.
-  double traversal_seconds = 0.0;
-  double decode_seconds = 0.0;
-  double kernel_seconds = 0.0;
-
   double i_pruning_ratio = 0.0;   ///< Avg fraction pruned by I-pruning.
   double c_pruning_ratio = 0.0;   ///< Avg fraction pruned after C-pruning.
   double avg_cr_objects = 0.0;    ///< Mean |C_i| (IC / ICR).
@@ -166,11 +130,10 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
 /// `workers` workers and frontier depth `max_depth`), then finalizes it
 /// with the same workers. `pool` may be null, which runs both steps on the
 /// calling thread, and may be shared with sibling builds. The index
-/// serializes identically for every worker count and depth. If given,
-/// `build_stats` receives the stage2_*_seconds phase split.
+/// serializes identically for every worker count and depth. Runs under
+/// the build/stage2 span; FinalizeWith under build/stage2_finalize.
 Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
-                 int workers, int max_depth, UVIndex* index,
-                 BuildStats* build_stats = nullptr);
+                 int workers, int max_depth, UVIndex* index);
 
 /// Stage 1 alone, materialized: index_ids->at(i) holds the ids whose
 /// outside regions describe object i's UV-cell (cr-objects for IC,
@@ -181,9 +144,8 @@ Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
 /// thread count. Sharded construction (src/shard/) runs this once against
 /// the global population, then runs RunStage2 on every sub-domain index
 /// with the objects whose cells overlap it — the per-subdomain
-/// build/merge split of divide-and-conquer Voronoi construction. Timing
-/// semantics match RunBuildPipeline (aggregate CPU seconds across
-/// workers); indexing_seconds stays 0.
+/// build/merge split of divide-and-conquer Voronoi construction. Runs
+/// under the build/stage1 span, like RunBuildPipeline's stage 1.
 Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& objects,
                                const rtree::RTree& tree, const geom::Box& domain,
                                const BuildPipelineOptions& options,

@@ -4,22 +4,11 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/timer.h"
 #include "geom/convex_hull.h"
+#include "obs/trace_recorder.h"
 
 namespace uvd {
 namespace core {
-
-namespace {
-
-// Leaf-decode wall accumulated through a workspace so far, whichever
-// traversal owns the buffers (oracle scratch or shared session).
-double DecodeSeconds(const CrFinderWorkspace& ws) {
-  return ws.scratch.decode_seconds +
-         (ws.session != nullptr ? ws.session->decode_seconds() : 0.0);
-}
-
-}  // namespace
 
 CrObjectFinder::CrObjectFinder(const std::vector<uncertain::UncertainObject>& objects,
                                const rtree::RTree& tree, const geom::Box& domain,
@@ -73,7 +62,7 @@ UVCell CrObjectFinder::BuildSeedRegion(size_t index, std::vector<int>* seed_ids,
   // bytes — the canonical (dist_min, id) order, see rtree::KnnHeapItem.
   std::vector<rtree::LeafEntry>& knn = ws->knn;
   {
-    ScopedTimer t(&ws->traversal_seconds);
+    UVD_TRACE_SPAN("cr", "traversal");
     if (ws->session != nullptr) {
       ws->session->KNearest(anchor.center(), options_.knn_k + 1, &knn);
     } else {
@@ -97,7 +86,7 @@ UVCell CrObjectFinder::BuildSeedRegion(size_t index, std::vector<int>* seed_ids,
   }
   if (options_.adaptive_seed_widening &&
       region.MaxDistanceFromCenter() > knn_radius) {
-    ScopedTimer kernel_timer(&ws->kernel_seconds);
+    UVD_TRACE_SPAN("cr", "kernel");
     if (options_.kernel_mode == geom::KernelMode::kBatch) {
       std::vector<geom::Circle> regions;
       std::vector<int> ids;
@@ -127,17 +116,14 @@ CrResult CrObjectFinder::Find(size_t index, CrFinderWorkspace* ws) const {
   const uncertain::UncertainObject& anchor = objects_[index];
   CrResult result;
   result.considered = objects_.size() - 1;
-  const double traversal0 = ws->traversal_seconds;
-  const double decode0 = DecodeSeconds(*ws);
-  const double kernel0 = ws->kernel_seconds;
 
   // Step 1: seeds and initial possible region.
   UVCell region = [&] {
-    ScopedTimer t(&result.seed_seconds);
+    UVD_TRACE_SPAN("cr", "seed");
     return BuildSeedRegion(index, &result.seeds, ws);
   }();
 
-  ScopedTimer prune_timer(&result.prune_seconds);
+  UVD_TRACE_SPAN("cr", "prune");
 
   // Step 2: I-pruning (Lemma 2). Only objects whose centers lie within
   // Cir(c_i, 2d - r_i) can reshape P_i.
@@ -149,7 +135,7 @@ CrResult CrObjectFinder::Find(size_t index, CrFinderWorkspace* ws) const {
   // below is per-candidate and cr_objects is sorted before returning.
   std::vector<rtree::LeafEntry>& candidates = ws->candidates;
   {
-    ScopedTimer t(&ws->traversal_seconds);
+    UVD_TRACE_SPAN("cr", "traversal");
     if (ws->session != nullptr) {
       ws->session->CentersInRange(anchor.center(), range, &candidates);
     } else {
@@ -176,7 +162,7 @@ CrResult CrObjectFinder::Find(size_t index, CrFinderWorkspace* ws) const {
 
   result.cr_objects.reserve(candidates.size());
   {
-    ScopedTimer kernel_timer(&ws->kernel_seconds);
+    UVD_TRACE_SPAN("cr", "kernel");
     if (options_.kernel_mode == geom::KernelMode::kBatch && !hull.empty()) {
       std::vector<double> xs, ys;
       xs.reserve(candidates.size());
@@ -206,9 +192,6 @@ CrResult CrObjectFinder::Find(size_t index, CrFinderWorkspace* ws) const {
     }
   }
   std::sort(result.cr_objects.begin(), result.cr_objects.end());
-  result.traversal_seconds = ws->traversal_seconds - traversal0;
-  result.decode_seconds = DecodeSeconds(*ws) - decode0;
-  result.kernel_seconds = ws->kernel_seconds - kernel0;
   return result;
 }
 

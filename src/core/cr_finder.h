@@ -50,20 +50,16 @@ struct CrFinderOptions {
 };
 
 /// Output of Algorithm 2 for one object, plus pruning diagnostics used by
-/// Fig. 7(b)/(d)/(e).
+/// Fig. 7(b). Its phases are trace spans: cr/seed (Step 1) and cr/prune
+/// (Steps 2-3), split orthogonally into cr/traversal (both R-tree queries,
+/// with their rtree/decode leaf reads) and cr/kernel (seed widening and
+/// C-pruning).
 struct CrResult {
   std::vector<int> seeds;          ///< Seed object ids (<= num_sectors).
   std::vector<int> cr_objects;     ///< C_i, sorted ascending.
   double max_dist = 0.0;           ///< d of Lemma 2 (from the seed region).
   size_t after_i_pruning = 0;      ///< |I| (survivors of Step 2).
   size_t considered = 0;           ///< n - 1.
-  double seed_seconds = 0.0;       ///< Step 1 wall time.
-  double prune_seconds = 0.0;      ///< Steps 2-3 wall time.
-  // Orthogonal phase split of the same wall time (bench traversal-phase
-  // breakdown): where inside Steps 1-3 the cycles actually went.
-  double traversal_seconds = 0.0;  ///< R-tree k-NN + range-query wall.
-  double decode_seconds = 0.0;     ///< Leaf-decode share of traversal_seconds.
-  double kernel_seconds = 0.0;     ///< C-pruning + widening kernel wall.
 };
 
 /// Per-worker reusable state for the Algorithm 2 hot loop. A null/default
@@ -79,9 +75,6 @@ struct CrFinderWorkspace {
   std::unique_ptr<rtree::TraversalSession> session;
   std::vector<rtree::LeafEntry> knn;         ///< k-NN output buffer.
   std::vector<rtree::LeafEntry> candidates;  ///< Range-query output buffer.
-  // Phase-time accumulators (CrResult reports per-call deltas).
-  double traversal_seconds = 0.0;
-  double kernel_seconds = 0.0;
 
   /// The first R-tree leaf-read failure of any Find through this workspace,
   /// sticky; OK when none. A Find that hits one returns an incomplete C_i.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/timer.h"
+#include "obs/trace_recorder.h"
 
 namespace uvd {
 namespace core {
@@ -30,37 +30,30 @@ std::vector<rtree::LeafEntry> VerifyCandidates(std::vector<rtree::LeafEntry> tup
 
 Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithUvIndex(
     const UVIndex& index, const uncertain::ObjectStore& store, const geom::Point& q,
-    const uncertain::QualificationOptions& options, Stats* stats,
-    rtree::PnnBreakdown* breakdown) {
+    const uncertain::QualificationOptions& options, Stats* stats) {
   std::vector<rtree::LeafEntry> tuples;
   {
-    double index_seconds = 0.0;
-    {
-      ScopedTimer t(&index_seconds);
-      auto retrieved = index.RetrieveCandidates(q);
-      if (!retrieved.ok()) return retrieved.status();
-      tuples = std::move(retrieved).value();
-    }
-    if (breakdown != nullptr) breakdown->index_seconds += index_seconds;
+    UVD_TRACE_SPAN("pnn", "index");
+    auto retrieved = index.RetrieveCandidates(q);
+    if (!retrieved.ok()) return retrieved.status();
+    tuples = std::move(retrieved).value();
   }
-  return EvaluatePnnFromCandidates(std::move(tuples), store, q, options, stats,
-                                   breakdown);
+  return EvaluatePnnFromCandidates(std::move(tuples), store, q, options, stats);
 }
 
 Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnFromCandidates(
     std::vector<rtree::LeafEntry> tuples, const uncertain::ObjectStore& store,
     const geom::Point& q, const uncertain::QualificationOptions& options,
-    Stats* stats, rtree::PnnBreakdown* breakdown) {
-  rtree::PnnBreakdown local;
+    Stats* stats) {
   std::vector<rtree::LeafEntry> verified;
   {
-    ScopedTimer t(&local.index_seconds);
+    UVD_TRACE_SPAN("pnn", "index");
     verified = VerifyCandidates(std::move(tuples), q);
   }
 
   std::vector<uncertain::UncertainObject> objects;
   {
-    ScopedTimer t(&local.retrieval_seconds);
+    UVD_TRACE_SPAN("pnn", "retrieval");
     objects.reserve(verified.size());
     for (const rtree::LeafEntry& e : verified) {
       auto obj = store.Fetch(e.ptr);
@@ -71,13 +64,12 @@ Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnFromCandidates(
 
   std::vector<uncertain::PnnAnswer> answers;
   {
-    ScopedTimer t(&local.computation_seconds);
+    UVD_TRACE_SPAN("pnn", "computation");
     std::vector<const uncertain::UncertainObject*> refs;
     refs.reserve(objects.size());
     for (const auto& o : objects) refs.push_back(&o);
     answers = uncertain::ComputeQualificationProbabilities(refs, q, options, stats);
   }
-  if (breakdown != nullptr) breakdown->Accumulate(local);
   return answers;
 }
 

@@ -18,13 +18,13 @@
 namespace uvd {
 namespace core {
 
-/// Full PNN through the UV-index. `breakdown`, if given, accumulates the
-/// Fig. 6(c) components (index traversal / object retrieval / probability
-/// computation). Page I/O failures propagate as error Status.
+/// Full PNN through the UV-index, timed as the Fig. 6(c) spans
+/// pnn/{index,retrieval,computation} (index traversal plus verification /
+/// object retrieval / probability computation). Page I/O failures
+/// propagate as error Status.
 Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithUvIndex(
     const UVIndex& index, const uncertain::ObjectStore& store, const geom::Point& q,
-    const uncertain::QualificationOptions& options = {}, Stats* stats = nullptr,
-    rtree::PnnBreakdown* breakdown = nullptr);
+    const uncertain::QualificationOptions& options = {}, Stats* stats = nullptr);
 
 /// Verification + retrieval + probability phases over candidate tuples
 /// already produced by the index phase (UVIndex::RetrieveCandidates or a
@@ -34,7 +34,7 @@ Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithUvIndex(
 Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnFromCandidates(
     std::vector<rtree::LeafEntry> tuples, const uncertain::ObjectStore& store,
     const geom::Point& q, const uncertain::QualificationOptions& options = {},
-    Stats* stats = nullptr, rtree::PnnBreakdown* breakdown = nullptr);
+    Stats* stats = nullptr);
 
 /// Verification phase only over already-fetched candidate tuples: the
 /// sorted ids of the answer objects (dist_min <= d_minmax).

@@ -155,17 +155,15 @@ Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
   return st;
 }
 
-Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnn(
-    const geom::Point& q, rtree::PnnBreakdown* breakdown) const {
-  return EvaluatePnnWithUvIndex(*unit_.index, *unit_.store, q, options_.qualification, stats_,
-                                breakdown);
+Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnn(const geom::Point& q) const {
+  return EvaluatePnnWithUvIndex(*unit_.index, *unit_.store, q, options_.qualification, stats_);
 }
 
 Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnnWithRtree(
-    const geom::Point& q, rtree::PnnBreakdown* breakdown) const {
+    const geom::Point& q) const {
   UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
   return rtree::EvaluatePnnWithRtree(*rtree_, *unit_.store, q, options_.qualification,
-                                     stats_, breakdown);
+                                     stats_);
 }
 
 Result<std::vector<int>> UVDiagram::AnswerObjectIds(const geom::Point& q) const {

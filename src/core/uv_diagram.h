@@ -121,12 +121,10 @@ class UVDiagram {
 
   /// PNN through the UV-index (paper Sec. V-A). Errors (I/O failures,
   /// query outside the domain) propagate as Status.
-  Result<std::vector<uncertain::PnnAnswer>> QueryPnn(
-      const geom::Point& q, rtree::PnnBreakdown* breakdown = nullptr) const;
+  Result<std::vector<uncertain::PnnAnswer>> QueryPnn(const geom::Point& q) const;
 
   /// PNN through the R-tree baseline of [14] (the paper's comparator).
-  Result<std::vector<uncertain::PnnAnswer>> QueryPnnWithRtree(
-      const geom::Point& q, rtree::PnnBreakdown* breakdown = nullptr) const;
+  Result<std::vector<uncertain::PnnAnswer>> QueryPnnWithRtree(const geom::Point& q) const;
 
   /// Answer-object ids only (no probability computation).
   Result<std::vector<int>> AnswerObjectIds(const geom::Point& q) const;

@@ -4,39 +4,14 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/timer.h"
 #include "obs/trace_recorder.h"
 #include "rtree/leaf_codec.h"
 
 namespace uvd {
 namespace core {
-
-namespace {
-
-/// Runs fn(0..workers-1) as tasks on `pool`, waiting for the caller's own
-/// tasks only (WaitGroup, not the pool-global Wait — the pool may be shared
-/// with other in-flight builds, e.g. sibling shards).
-void RunWorkers(ThreadPool* pool, int workers, const std::function<void(int)>& fn) {
-  if (pool == nullptr || workers <= 1) {
-    fn(0);
-    return;
-  }
-  auto done = std::make_shared<WaitGroup>(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool->Submit([fn, w, done] {
-      UVD_TRACE_SPAN("build", "stage2_worker");
-      fn(w);
-      done->Done();
-    });
-  }
-  done->Wait();
-}
-
-}  // namespace
 
 UVIndex::UVIndex(const geom::Box& domain, storage::PageManager* pm,
                  const UVIndexOptions& options, Stats* stats)
@@ -377,7 +352,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
   // nothing for the thread-safety analysis to guard here
   // (docs/STATIC_ANALYSIS.md, "Phase-disciplined structures").
   {
-    ScopedTimer t(&rep.member_seconds);
+    UVD_TRACE_SPAN("build", "stage2_member");
     members_.resize(n);
     std::atomic<size_t> next{0};
     constexpr size_t kBlock = 16;
@@ -404,7 +379,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
   BuildArena main_arena = MainArena();
   size_t p = 0;
   {
-    ScopedTimer t(&rep.prefix_seconds);
+    UVD_TRACE_SPAN("build", "stage2_prefix");
     if (workers <= 1) {
       for (; p < n; ++p) InsertInto(main_arena, root(), static_cast<uint32_t>(p));
     } else {
@@ -446,7 +421,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
   std::vector<uint64_t> route(n - p, 0);
   std::vector<Stats> route_shards(static_cast<size_t>(workers));
   {
-    ScopedTimer t(&rep.route_seconds);
+    UVD_TRACE_SPAN("build", "stage2_route");
     std::atomic<size_t> next{p};
     constexpr size_t kBlock = 16;
     RunWorkers(pool, workers, [&](int w) {
@@ -507,7 +482,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
     }
   }
   {
-    ScopedTimer t(&rep.subtree_seconds);
+    UVD_TRACE_SPAN("build", "stage2_subtree");
     for (size_t s = 0; s < num_subtrees; ++s) {
       SubtreeBuild& st = subs[s];
       const std::function<uint32_t(uint32_t)> extract = [&](uint32_t gid) -> uint32_t {
@@ -536,6 +511,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
     });
     std::atomic<size_t> next{0};
     RunWorkers(pool, workers, [&](int) {
+      UVD_TRACE_SPAN("build", "stage2_worker");
       // No pruner-hint scratch: descent gates use a fresh hint per check
       // and residency hints travel inside the extracted nodes
       // (Node::member_hints), so each subtree replays the serial hint
@@ -570,7 +546,7 @@ Status UVIndex::InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
   // changed a split decision somewhere, so the result is discarded and the
   // build reruns serially (exact by definition).
   {
-    ScopedTimer t(&rep.stitch_seconds);
+    UVD_TRACE_SPAN("build", "stage2_stitch");
     std::vector<std::vector<uint32_t>> remap(num_subtrees);
     for (size_t s = 0; s < num_subtrees; ++s) {
       remap[s].assign(subs[s].nodes.size(), 0);
@@ -689,56 +665,41 @@ Status UVIndex::FinalizeWith(ThreadPool* pool, int threads) {
     return Status::OK();
   };
 
-  if (pool == nullptr || threads <= 1) {
-    // Serial path: allocate-then-write one leaf at a time, in node order.
+  // Pre-assign the page ids in node order (one contiguous run, the layout
+  // a per-leaf Allocate loop would produce), then fan the encoding out.
+  // Writes target distinct pre-allocated pages, which PageManager permits
+  // concurrently; the page layout is bitwise-identical for every thread
+  // count.
+  std::vector<uint32_t> leaves;
+  size_t total_pages = 0;
+  for (uint32_t idx = 0; idx < nodes_.size(); ++idx) {
+    if (!nodes_[idx].is_leaf) continue;
+    leaves.push_back(idx);
+    total_pages += nodes_[idx].num_pages;
+  }
+  UVD_ASSIGN_OR_RETURN(storage::PageId next_page, pm_->AllocateRun(total_pages));
+  for (uint32_t leaf : leaves) {
+    Node& node = nodes_[leaf];
+    node.pages.reserve(node.num_pages);
+    for (size_t p = 0; p < node.num_pages; ++p) node.pages.push_back(next_page++);
+  }
+  const int workers = pool == nullptr ? 1 : std::max(1, threads);
+  std::atomic<size_t> cursor{0};
+  std::vector<Status> worker_status(static_cast<size_t>(workers));
+  RunWorkers(pool, workers, [&](int w) {
     std::vector<rtree::LeafEntry> tuples;
     std::vector<uint8_t> buf;
-    for (Node& node : nodes_) {
-      if (!node.is_leaf) continue;
-      node.pages.reserve(node.num_pages);
-      for (size_t p = 0; p < node.num_pages; ++p) {
-        UVD_ASSIGN_OR_RETURN(const storage::PageId page, pm_->Allocate());
-        node.pages.push_back(page);
+    for (;;) {
+      const size_t li = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (li >= leaves.size()) return;
+      const Status s = write_leaf(nodes_[leaves[li]], &tuples, &buf);
+      if (!s.ok()) {
+        worker_status[static_cast<size_t>(w)] = s;
+        return;
       }
-      UVD_RETURN_NOT_OK(write_leaf(node, &tuples, &buf));
     }
-  } else {
-    // Parallel path: pre-assign the exact page ids the serial loop's
-    // per-leaf Allocate calls would produce (one contiguous run, handed
-    // out in node order), then fan the encoding out. Writes target
-    // distinct pre-allocated pages, which PageManager permits
-    // concurrently; the resulting page layout is bitwise-identical to the
-    // serial path for every thread count.
-    std::vector<uint32_t> leaves;
-    size_t total_pages = 0;
-    for (uint32_t idx = 0; idx < nodes_.size(); ++idx) {
-      if (!nodes_[idx].is_leaf) continue;
-      leaves.push_back(idx);
-      total_pages += nodes_[idx].num_pages;
-    }
-    UVD_ASSIGN_OR_RETURN(storage::PageId next_page, pm_->AllocateRun(total_pages));
-    for (uint32_t leaf : leaves) {
-      Node& node = nodes_[leaf];
-      node.pages.reserve(node.num_pages);
-      for (size_t p = 0; p < node.num_pages; ++p) node.pages.push_back(next_page++);
-    }
-    std::atomic<size_t> cursor{0};
-    std::vector<Status> worker_status(static_cast<size_t>(threads));
-    RunWorkers(pool, threads, [&](int w) {
-      std::vector<rtree::LeafEntry> tuples;
-      std::vector<uint8_t> buf;
-      for (;;) {
-        const size_t li = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (li >= leaves.size()) return;
-        const Status s = write_leaf(nodes_[leaves[li]], &tuples, &buf);
-        if (!s.ok()) {
-          worker_status[static_cast<size_t>(w)] = s;
-          return;
-        }
-      }
-    });
-    for (const Status& s : worker_status) UVD_RETURN_NOT_OK(s);
-  }
+  });
+  for (const Status& s : worker_status) UVD_RETURN_NOT_OK(s);
 
   // Drop the construction caches; ids/regions stay for pattern analysis.
   for (Member& m : members_) {

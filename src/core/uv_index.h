@@ -119,11 +119,6 @@ class UVIndex {
     int subtrees = 0;            ///< Parallel insertion domains (frontier size).
     size_t parallel_splits = 0;  ///< Split events replayed by the stitch.
     bool serial_fallback = false;  ///< max_nonleaf bound: rebuilt serially.
-    double member_seconds = 0.0;   ///< Member record (cr-set + SoA) materialization.
-    double prefix_seconds = 0.0;   ///< Serial prefix insertion.
-    double route_seconds = 0.0;    ///< Ancestor overlap routing.
-    double subtree_seconds = 0.0;  ///< Parallel subtree insertion.
-    double stitch_seconds = 0.0;   ///< Event merge + canonical renumbering.
   };
 
   /// Inserts `items` (in order) with stage 2 fanned out per quad-tree
@@ -174,7 +169,8 @@ class UVIndex {
   /// Requires a fresh index (no prior insertions). Items need not have
   /// contiguous ids (shard replicas keep global ids); order is what
   /// matters. `pool` may be shared; only `options.threads` tasks are in
-  /// flight at once.
+  /// flight at once. Each phase runs under a trace span:
+  /// build/stage2_{member,prefix,route,subtree,stitch}.
   Status InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
                                   ThreadPool* pool,
                                   const PartitionedInsertOptions& options,

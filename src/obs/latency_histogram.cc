@@ -21,11 +21,13 @@ void SetMetricsEnabled(bool enabled) {
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+uint64_t NowNanos() {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now() - ProcessEpoch())
                                    .count());
 }
+
+uint64_t NowMicros() { return NowNanos() / 1000; }
 
 uint32_t LatencyHistogram::BucketIndex(uint64_t value) {
   if (value < kSubBucketCount) return static_cast<uint32_t>(value);

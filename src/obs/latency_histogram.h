@@ -40,6 +40,8 @@ void SetMetricsEnabled(bool enabled);
 /// Monotonic microsecond clock for latency measurements (steady_clock
 /// since process start; origin is arbitrary, differences are meaningful).
 uint64_t NowMicros();
+/// The same clock in nanoseconds: NowMicros() == NowNanos() / 1000.
+uint64_t NowNanos();
 
 /// \brief Mergeable log-bucketed histogram of non-negative 64-bit values
 /// (by convention: microseconds).

@@ -27,7 +27,7 @@ TraceRecorder& TraceRecorder::Global() {
   return *recorder;
 }
 
-uint64_t TraceSpan::NowMicrosForTrace() { return NowMicros(); }
+uint64_t TraceSpan::NowNanosForTrace() { return NowNanos(); }
 
 TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
   const bool is_global = this == &Global();
@@ -57,17 +57,38 @@ TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
   return raw;
 }
 
+void TraceRecorder::Ring::Append(const TraceEvent& event, uint64_t duration_ns) {
+  events[next] = event;
+  next = (next + 1) % events.size();
+  if (size < events.size()) {
+    ++size;
+  } else {
+    ++dropped;
+  }
+  for (PhaseSlot& slot : phases) {
+    if (slot.name == event.name && slot.category == event.category) {
+      ++slot.total.count;
+      slot.total.total_ns += duration_ns;
+      return;
+    }
+  }
+  phases.push_back({event.category, event.name, PhaseTotal{1, duration_ns}});
+}
+
 void TraceRecorder::Record(const char* category, const char* name,
                            uint64_t start_us, uint64_t duration_us) {
   Ring* ring = RingForThisThread();
   MutexLock lock(ring->mu);
-  ring->events[ring->next] = TraceEvent{category, name, start_us, duration_us};
-  ring->next = (ring->next + 1) % ring->events.size();
-  if (ring->size < ring->events.size()) {
-    ++ring->size;
-  } else {
-    ++ring->dropped;
-  }
+  ring->Append(TraceEvent{category, name, start_us, duration_us}, duration_us * 1000);
+}
+
+void TraceRecorder::RecordSpan(const char* category, const char* name,
+                               uint64_t start_ns, uint64_t end_ns) {
+  Ring* ring = RingForThisThread();
+  MutexLock lock(ring->mu);
+  const uint64_t start_us = start_ns / 1000;
+  ring->Append(TraceEvent{category, name, start_us, end_ns / 1000 - start_us},
+               end_ns - start_ns);
 }
 
 void TraceRecorder::Clear() {
@@ -77,7 +98,22 @@ void TraceRecorder::Clear() {
     ring->next = 0;
     ring->size = 0;
     ring->dropped = 0;
+    ring->phases.clear();
   }
+}
+
+std::map<std::string, PhaseTotal> TraceRecorder::PhaseTotals() const {
+  std::map<std::string, PhaseTotal> totals;
+  MutexLock lock(registry_mu_);
+  for (const auto& ring : rings_) {
+    MutexLock ring_lock(ring->mu);
+    for (const PhaseSlot& slot : ring->phases) {
+      PhaseTotal& t = totals[std::string(slot.category) + "/" + slot.name];
+      t.count += slot.total.count;
+      t.total_ns += slot.total.total_ns;
+    }
+  }
+  return totals;
 }
 
 size_t TraceRecorder::event_count() const {

@@ -1,14 +1,18 @@
 // Lightweight scoped-span tracing exported as Chrome trace-event JSON
 // (viewable in Perfetto / chrome://tracing). The paper's Figs. 6(c) and
-// 7(d)/(e) are phase breakdowns; UVD_TRACE_SPAN generalizes them to a real
-// timeline — per-worker stage-1/stage-2 spans during construction, and
-// locate-leaf / cache-lookup / read-leaf / qualification phases per query.
+// 7(d)/(e) are phase breakdowns; UVD_TRACE_SPAN is the one clock behind
+// them — per-worker stage-1/stage-2 spans and the Algorithm 2 phases
+// during construction, the PNN index / retrieval / computation phases and
+// locate-leaf / cache-lookup / read-leaf / qualification per query. Besides
+// the timeline, the recorder keeps exact per-phase totals (PhaseTotals())
+// that benches read as their breakdown columns.
 //
 // Cost model:
 //   * Tracing is DISABLED by default. The macro's fast path is one relaxed
 //     atomic load and a branch; no clock is read and nothing is written.
 //   * Enabled, a span is two steady_clock reads plus one ring-buffer push
-//     under the calling thread's own (uncontended) ring mutex.
+//     and one phase-total update under the calling thread's own
+//     (uncontended) ring mutex.
 //   * Defining UVD_DISABLE_TRACING at compile time removes the spans from
 //     the binary entirely — the hot path is untouched by construction.
 //
@@ -23,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +46,13 @@ struct TraceEvent {
   const char* name = nullptr;
   uint64_t start_us = 0;     ///< NowMicros() at span entry.
   uint64_t duration_us = 0;  ///< Span wall time.
+};
+
+/// Running total of every span recorded under one "category/name".
+struct PhaseTotal {
+  uint64_t count = 0;     ///< Spans recorded.
+  uint64_t total_ns = 0;  ///< Their summed wall time.
+  double seconds() const { return static_cast<double>(total_ns) * 1e-9; }
 };
 
 /// \brief Per-thread ring buffers of spans with Chrome trace-event export.
@@ -67,14 +79,21 @@ class TraceRecorder {
   }
 
   /// Appends a completed span to the calling thread's ring (registering
-  /// the ring on first use). Safe for concurrent callers; when the ring is
-  /// full the oldest event is overwritten and `dropped()` grows.
+  /// the ring on first use) and adds it to the ring's phase totals. Safe
+  /// for concurrent callers; when the ring is full the oldest event is
+  /// overwritten and `dropped()` grows, but the totals keep counting.
   void Record(const char* category, const char* name, uint64_t start_us,
               uint64_t duration_us);
 
-  /// Drops every recorded event (rings stay registered and keep their
-  /// thread ids; the drop counter resets).
+  /// Drops every recorded event and phase total (rings stay registered
+  /// and keep their thread ids; the drop counter resets).
   void Clear();
+
+  /// Count and summed wall time of every span recorded since the last
+  /// Clear(), keyed by "category/name" and merged across threads by name
+  /// text. Exact however many events the rings overwrote. Spans time in
+  /// nanoseconds; Record() contributes duration_us * 1000.
+  std::map<std::string, PhaseTotal> PhaseTotals() const;
 
   /// Events currently held across all rings.
   size_t event_count() const;
@@ -92,6 +111,13 @@ class TraceRecorder {
   Status WriteChromeTrace(const std::string& path) const;
 
  private:
+  /// One (category, name) literal pair's running total within a ring.
+  struct PhaseSlot {
+    const char* category;
+    const char* name;
+    PhaseTotal total;
+  };
+
   struct Ring {
     mutable Mutex mu;
     // tid and owner are written once at registration (under the
@@ -104,9 +130,22 @@ class TraceRecorder {
     size_t next UVD_GUARDED_BY(mu) = 0;     // write cursor
     size_t size UVD_GUARDED_BY(mu) = 0;     // events held (<= capacity)
     uint64_t dropped UVD_GUARDED_BY(mu) = 0;
+    // A handful of distinct phases per thread: a linear scan by literal
+    // pointer beats hashing.
+    std::vector<PhaseSlot> phases UVD_GUARDED_BY(mu);
+
+    /// Appends `event` (overwriting the oldest when full) and adds
+    /// `duration_ns` to its phase total.
+    void Append(const TraceEvent& event, uint64_t duration_ns) UVD_REQUIRES(mu);
   };
 
+  friend class TraceSpan;
+
   Ring* RingForThisThread() UVD_EXCLUDES(registry_mu_);
+  /// Record() with the span's own nanosecond clock readings: the event
+  /// keeps microseconds, the phase total the exact nanoseconds.
+  void RecordSpan(const char* category, const char* name, uint64_t start_ns,
+                  uint64_t end_ns);
 
   static std::atomic<bool> enabled_;
 
@@ -116,21 +155,22 @@ class TraceRecorder {
 };
 
 /// RAII span: captures the clock at construction (when tracing is enabled)
-/// and records a TraceEvent at destruction. Nest freely; concurrent spans
-/// on different threads record into different rings.
+/// and records a TraceEvent plus its phase total at destruction. Nest
+/// freely; concurrent spans on different threads record into different
+/// rings.
 class TraceSpan {
  public:
   TraceSpan(const char* category, const char* name) {
     if (TraceRecorder::Enabled()) {
       category_ = category;
       name_ = name;
-      start_us_ = NowMicrosForTrace();
+      start_ns_ = NowNanosForTrace();
     }
   }
   ~TraceSpan() {
     if (category_ != nullptr) {
-      TraceRecorder::Global().Record(category_, name_, start_us_,
-                                     NowMicrosForTrace() - start_us_);
+      TraceRecorder::Global().RecordSpan(category_, name_, start_ns_,
+                                         NowNanosForTrace());
     }
   }
 
@@ -138,11 +178,11 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  static uint64_t NowMicrosForTrace();
+  static uint64_t NowNanosForTrace();
 
   const char* category_ = nullptr;  // null: span inactive (tracing was off)
   const char* name_ = nullptr;
-  uint64_t start_us_ = 0;
+  uint64_t start_ns_ = 0;
 };
 
 }  // namespace obs

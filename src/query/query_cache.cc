@@ -43,23 +43,6 @@ Result<std::vector<rtree::LeafEntry>> QueryCache::GetOrLoad(uint32_t leaf,
   return tuples;
 }
 
-Status QueryCache::WarmInsert(uint32_t leaf, const Loader& loader, Stats* stats) {
-  Shard& shard = ShardFor(leaf);
-  {
-    MutexLock lock(shard.mu);
-    if (shard.lru.Peek(leaf) != nullptr) return Status::OK();
-  }
-  auto loaded = loader();
-  if (!loaded.ok()) return loaded.status();
-
-  MutexLock lock(shard.mu);
-  // Losing the race to a concurrent load keeps theirs.
-  if (shard.lru.Insert(leaf, std::move(loaded).value()).second && stats != nullptr) {
-    stats->Add(Ticker::kQueryCacheWarmInserts);
-  }
-  return Status::OK();
-}
-
 void QueryCache::Clear() {
   for (auto& shard : shards_) {
     MutexLock lock(shard->mu);

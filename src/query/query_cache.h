@@ -59,15 +59,6 @@ class QueryCache {
                                                   const Loader& loader,
                                                   Stats* stats = nullptr);
 
-  /// Pre-populates `leaf` from `loader` WITHOUT touching recency state:
-  /// if the leaf is already cached (either segment) this is a no-op — no
-  /// refresh, no promotion — and the loader never runs. New entries join
-  /// the probationary front exactly like a miss, so warmed leaves that are
-  /// never probed age out before any re-referenced working set. Billed to
-  /// `stats` as kQueryCacheWarmInserts (loads only). Used by the query
-  /// engine to seed the cache from UV-partition results.
-  Status WarmInsert(uint32_t leaf, const Loader& loader, Stats* stats = nullptr);
-
   /// Drops every entry (e.g. after UVDiagram::InsertObject extends leaf
   /// page chains).
   void Clear();

@@ -106,20 +106,6 @@ QueryResult QueryEngine::ExecuteOne(const Query& q, Stats* shard) const {
     }
     case QueryKind::kUvPartitions: {
       result.partitions = core::RetrieveUvPartitions(*view_.index, q.range, shard);
-      if (options_.warm_cache_from_partitions && cache_ != nullptr) {
-        // Seed the probationary segment with the leaves just enumerated;
-        // point probes that follow the range scan into the same region hit
-        // without the leaf page-chain read. Warm failures are ignored —
-        // the cache is an optimization, not part of the answer.
-        const core::UVIndex& index = *view_.index;
-        for (const core::UvPartition& p : result.partitions) {
-          const uint32_t leaf = p.leaf;
-          const Status warm = cache_->WarmInsert(
-              leaf, [&index, leaf] { return index.ReadLeafEntries(leaf); },
-              shard);
-          (void)warm;
-        }
-      }
       break;
     }
     case QueryKind::kCellSummary: {

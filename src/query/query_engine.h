@@ -70,14 +70,6 @@ struct QueryEngineOptions {
   /// bitwise-identical with the cache on or off; disable to measure raw
   /// I/O or when leaves are mutated between batches.
   bool enable_cache = true;
-  /// Pre-populate the cache's probationary segment with every leaf a
-  /// UV-partition query returns (QueryCache::WarmInsert): a dashboard-style
-  /// range scan then pre-pays the leaf I/O for the point probes that
-  /// typically follow it into the same region. Off by default — warming
-  /// reads pages during a query kind that is otherwise I/O-free, and a
-  /// huge range can churn the probationary segment. Answers are unaffected
-  /// either way; billed as kQueryCacheWarmInserts.
-  bool warm_cache_from_partitions = false;
   QueryCacheOptions cache;
 };
 

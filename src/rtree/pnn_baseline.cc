@@ -4,7 +4,7 @@
 #include <limits>
 #include <queue>
 
-#include "common/timer.h"
+#include "obs/trace_recorder.h"
 
 namespace uvd {
 namespace rtree {
@@ -157,11 +157,10 @@ Result<PnnRetrieval> RetrievePnnCandidates(const RTree& tree, const geom::Point&
 Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithRtree(
     const RTree& tree, const uncertain::ObjectStore& store, const geom::Point& q,
     const uncertain::QualificationOptions& options, Stats* stats,
-    PnnBreakdown* breakdown, const PnnBaselineOptions& baseline) {
-  PnnBreakdown local;
+    const PnnBaselineOptions& baseline) {
   PnnRetrieval retrieval;
   {
-    ScopedTimer t(&local.index_seconds);
+    UVD_TRACE_SPAN("rtree_pnn", "index");
     auto r = RetrievePnnCandidates(tree, q, stats, baseline);
     if (!r.ok()) return r.status();
     retrieval = std::move(r).value();
@@ -169,7 +168,7 @@ Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithRtree(
 
   std::vector<uncertain::UncertainObject> objects;
   {
-    ScopedTimer t(&local.retrieval_seconds);
+    UVD_TRACE_SPAN("rtree_pnn", "retrieval");
     objects.reserve(retrieval.candidates.size());
     for (const LeafEntry& e : retrieval.candidates) {
       auto obj = store.Fetch(e.ptr);
@@ -180,13 +179,12 @@ Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithRtree(
 
   std::vector<uncertain::PnnAnswer> answers;
   {
-    ScopedTimer t(&local.computation_seconds);
+    UVD_TRACE_SPAN("rtree_pnn", "computation");
     std::vector<const uncertain::UncertainObject*> refs;
     refs.reserve(objects.size());
     for (const auto& o : objects) refs.push_back(&o);
     answers = uncertain::ComputeQualificationProbabilities(refs, q, options, stats);
   }
-  if (breakdown != nullptr) breakdown->Accumulate(local);
   return answers;
 }
 

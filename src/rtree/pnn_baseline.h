@@ -43,36 +43,20 @@ struct PnnBaselineOptions {
   BaselineTraversal traversal = BaselineTraversal::kTwoPhase;
 };
 
-/// Wall-time decomposition of one PNN evaluation (Fig. 6(c)):
-/// index traversal / object (pdf) retrieval / probability computation.
-struct PnnBreakdown {
-  double index_seconds = 0.0;
-  double retrieval_seconds = 0.0;
-  double computation_seconds = 0.0;
-
-  double Total() const {
-    return index_seconds + retrieval_seconds + computation_seconds;
-  }
-  void Accumulate(const PnnBreakdown& o) {
-    index_seconds += o.index_seconds;
-    retrieval_seconds += o.retrieval_seconds;
-    computation_seconds += o.computation_seconds;
-  }
-};
-
 /// Index phase only: retrieve all answer-object candidates via
 /// branch-and-prune. Page I/O failures propagate as error Status.
 Result<PnnRetrieval> RetrievePnnCandidates(const RTree& tree, const geom::Point& q,
                                            Stats* stats = nullptr,
                                            const PnnBaselineOptions& options = {});
 
-/// Full PNN: retrieval + object fetch + numerical integration. Any page
+/// Full PNN: retrieval + object fetch + numerical integration, timed as
+/// the Fig. 6(c) spans rtree_pnn/{index,retrieval,computation}. Any page
 /// I/O failure propagates (a dropped candidate would silently corrupt
 /// the probabilities).
 Result<std::vector<uncertain::PnnAnswer>> EvaluatePnnWithRtree(
     const RTree& tree, const uncertain::ObjectStore& store, const geom::Point& q,
     const uncertain::QualificationOptions& options = {}, Stats* stats = nullptr,
-    PnnBreakdown* breakdown = nullptr, const PnnBaselineOptions& baseline = {});
+    const PnnBaselineOptions& baseline = {});
 
 }  // namespace rtree
 }  // namespace uvd

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <functional>
 
-#include "common/timer.h"
+#include "obs/trace_recorder.h"
 #include "storage/record.h"
 
 namespace uvd {
@@ -140,7 +140,7 @@ Status RTree::ReadLeaf(storage::PageId page, std::vector<LeafEntry>* out) const 
 bool RTree::ReadLeafInto(storage::PageId page, TraversalScratch* scratch) const {
   Status read;
   {
-    ScopedTimer t(&scratch->decode_seconds);
+    UVD_TRACE_SPAN("rtree", "decode");
     read = ReadLeaf(page, &scratch->page_entries);
   }
   if (read.ok()) return true;

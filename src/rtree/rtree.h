@@ -58,9 +58,6 @@ struct TraversalScratch {
   std::vector<KnnHeapItem> heap;
   std::vector<LeafEntry> page_entries;
   std::vector<uint32_t> stack;
-  /// Wall seconds spent decoding leaf pages through this scratch,
-  /// accumulated across calls (the bench's leaf-decode phase).
-  double decode_seconds = 0.0;
   /// The first leaf-read failure of any call through this scratch, sticky;
   /// OK when none. A call that hits one returns an incomplete result.
   Status status;
@@ -133,8 +130,8 @@ class RTree {
  private:
   RTree() = default;
 
-  /// ReadLeaf into scratch->page_entries, timed into its decode_seconds;
-  /// on failure records the sticky scratch->status and returns false.
+  /// ReadLeaf into scratch->page_entries under the rtree/decode span; on
+  /// failure records the sticky scratch->status and returns false.
   bool ReadLeafInto(storage::PageId page, TraversalScratch* scratch) const;
 
   storage::PageManager* pm_ = nullptr;

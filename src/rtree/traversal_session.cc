@@ -5,7 +5,7 @@
 #include <functional>
 #include <limits>
 
-#include "common/timer.h"
+#include "obs/trace_recorder.h"
 
 namespace uvd {
 namespace rtree {
@@ -81,7 +81,7 @@ const std::vector<LeafEntry>* TraversalSession::GetLeaf(uint32_t leaf) {
   std::vector<LeafEntry> entries;
   Status read;
   {
-    ScopedTimer t(&decode_seconds_);
+    UVD_TRACE_SPAN("rtree", "decode");
     read = tree_.ReadLeaf(tree_.leaf_pages()[leaf], &entries);
   }
   if (!read.ok()) {

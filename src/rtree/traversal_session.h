@@ -100,8 +100,6 @@ class TraversalSession {
   size_t memo_size() const { return memo_.size(); }
   /// Live (non-tombstoned) cut elements.
   size_t cut_size() const { return cut_.size() - cut_dead_; }
-  /// Wall seconds spent decoding leaf pages (memo misses).
-  double decode_seconds() const { return decode_seconds_; }
   /// Entries currently materialized in the pool (0 when invalid).
   size_t pool_size() const { return pool_radius_ < 0.0 ? 0 : pool_.size(); }
   /// Times the pool was (re)built from the frontier cut.
@@ -206,7 +204,6 @@ class TraversalSession {
   Status status_;
   size_t memo_hits_ = 0;
   size_t memo_misses_ = 0;
-  double decode_seconds_ = 0.0;
 };
 
 }  // namespace rtree

@@ -62,8 +62,7 @@ struct ShardRouterOptions {
   /// Per-shard engine configuration. Default: 1 worker per shard — batch
   /// parallelism comes from fanning across shards (router_threads); raise
   /// `engine.threads` to also parallelize within hot shards.
-  query::QueryEngineOptions engine{/*threads=*/1, /*enable_cache=*/true,
-                                   /*warm_cache_from_partitions=*/false, {}};
+  query::QueryEngineOptions engine{/*threads=*/1, /*enable_cache=*/true, /*cache=*/{}};
   /// Concurrent per-shard sub-batch execution. <= 0: one slot per shard
   /// (not capped at hardware concurrency — disk-bound shards block rather
   /// than compute, so full fan-out is what hides the I/O latency);

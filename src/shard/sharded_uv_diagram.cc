@@ -13,7 +13,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
+#include "obs/trace_recorder.h"
 #include "rtree/rtree.h"
 #include "storage/record.h"
 
@@ -333,7 +333,6 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
     const ShardedUVDiagramOptions& options, Stats* stats) {
   UVD_RETURN_NOT_OK(core::ValidateBuildInput(objects, domain));
 
-  Timer total_timer;
   ShardedUVDiagram d(options, stats);
   d.objects_ = std::move(objects);
   d.domain_ = domain;
@@ -378,7 +377,6 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
       domain, d.options_.num_shards, d.options_.partitioning, d.extents_);
   d.shards_.resize(boxes.size());
   std::vector<Status> shard_status(boxes.size());
-  std::vector<double> shard_seconds(boxes.size(), 0.0);
 
   const int build_threads = d.options_.diagram.build_threads > 0
                                 ? d.options_.diagram.build_threads
@@ -390,7 +388,7 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
   const int stage2_threads = std::max(1, build_threads / std::max(1, workers));
 
   const auto build_shard = [&](size_t s) {
-    ScopedTimer timer(&shard_seconds[s]);
+    UVD_TRACE_SPAN("shard", "build_shard");
     Shard& sh = d.shards_[s];
     sh.box = boxes[s];
     sh.stats = std::make_unique<Stats>();
@@ -439,31 +437,22 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
                                       sh.index.get());
   };
 
-  if (workers <= 1) {
-    for (size_t s = 0; s < boxes.size(); ++s) build_shard(s);
-  } else {
-    // Shared state across workers is exactly one atomic claim cursor; each
-    // shard's storage/index is private to whichever worker claims it, so
-    // there is no guarded state here for the thread-safety analysis — the
-    // pool's own lock discipline is annotated at its source
-    // (common/thread_pool.h; docs/STATIC_ANALYSIS.md).
-    ThreadPool pool(workers);
-    std::atomic<size_t> next{0};
-    for (int w = 0; w < workers; ++w) {
-      pool.Submit([&] {
-        for (;;) {
-          const size_t s = next.fetch_add(1, std::memory_order_relaxed);
-          if (s >= boxes.size()) return;
-          build_shard(s);
-        }
-      });
+  // Shared state across workers is exactly one atomic claim cursor; each
+  // shard's storage/index is private to whichever worker claims it, so
+  // there is no guarded state here for the thread-safety analysis — the
+  // pool's own lock discipline is annotated at its source
+  // (common/thread_pool.h; docs/STATIC_ANALYSIS.md).
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  std::atomic<size_t> next{0};
+  RunWorkers(pool ? &*pool : nullptr, workers, [&](int) {
+    for (;;) {
+      const size_t s = next.fetch_add(1, std::memory_order_relaxed);
+      if (s >= boxes.size()) return;
+      build_shard(s);
     }
-    pool.Wait();
-  }
+  });
   for (const Status& status : shard_status) UVD_RETURN_NOT_OK(status);
-
-  for (double seconds : shard_seconds) d.build_stats_.indexing_seconds += seconds;
-  d.build_stats_.total_seconds = total_timer.ElapsedSeconds();
   return d;
 }
 

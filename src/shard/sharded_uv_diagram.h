@@ -241,8 +241,8 @@ class ShardedUVDiagram {
   /// and ops tooling.
   std::string BalanceReportString() const;
 
-  /// Stage-1 timing/pruning diagnostics plus aggregate per-shard indexing
-  /// seconds; total_seconds is the wall clock of the whole sharded build.
+  /// Stage-1 pruning diagnostics of the global candidate pass. Each
+  /// shard's build runs under the shard/build_shard span.
   const core::BuildStats& build_stats() const { return build_stats_; }
 
  private:

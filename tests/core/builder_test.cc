@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "core/pnn.h"
 #include "datagen/generators.h"
+#include "testing/phase_trace.h"
 
 namespace uvd {
 namespace core {
@@ -93,21 +94,40 @@ TEST(BuilderTest, IcDoesLessEnvelopeWorkThanIcrThanBasicOnLargerSets) {
 
 TEST(BuilderTest, BreakdownsPopulated) {
   Built ic = BuildWith(BuildMethod::kIC, 400, 13);
-  EXPECT_GT(ic.build_stats.pruning_seconds, 0.0);
-  EXPECT_GT(ic.build_stats.indexing_seconds, 0.0);
   EXPECT_EQ(ic.build_stats.avg_r_objects, 0.0);  // IC never refines
   EXPECT_GT(ic.build_stats.avg_cr_objects, 0.0);
   EXPECT_GT(ic.build_stats.i_pruning_ratio, 0.0);
   EXPECT_GE(ic.build_stats.c_pruning_ratio, ic.build_stats.i_pruning_ratio);
 
   Built icr = BuildWith(BuildMethod::kICR, 400, 13);
-  EXPECT_GT(icr.build_stats.robject_seconds, 0.0);
   EXPECT_GT(icr.build_stats.avg_r_objects, 0.0);
   EXPECT_LE(icr.build_stats.avg_r_objects, icr.build_stats.avg_cr_objects);
 
   Built basic = BuildWith(BuildMethod::kBasic, 400, 13);
-  EXPECT_GT(basic.build_stats.robject_seconds, 0.0);
   EXPECT_EQ(basic.build_stats.avg_cr_objects, 0.0);  // Basic never prunes
+}
+
+TEST(BuilderTest, PhaseSpansFollowTheMethod) {
+  UVD_SKIP_WITHOUT_TRACING();
+  // The Fig. 7(d)/(e) components: IC prunes and indexes but never
+  // generates r-objects; ICR does all three; Basic never prunes.
+  const auto phases_of = [](BuildMethod method) {
+    test::PhaseTrace trace;
+    BuildWith(method, 400, 13);
+    return trace.Totals();
+  };
+  auto ic = phases_of(BuildMethod::kIC);
+  EXPECT_GT(ic["cr/prune"].total_ns, 0u);
+  EXPECT_GT(ic["build/stage2"].total_ns, 0u);
+  EXPECT_EQ(ic["build/robject"].count, 0u);
+
+  auto icr = phases_of(BuildMethod::kICR);
+  EXPECT_EQ(icr["cr/seed"].count, 400u);  // one Algorithm 2 run per object
+  EXPECT_GT(icr["build/robject"].total_ns, 0u);
+
+  auto basic = phases_of(BuildMethod::kBasic);
+  EXPECT_GT(basic["build/robject"].total_ns, 0u);
+  EXPECT_EQ(basic["cr/prune"].count, 0u);
 }
 
 TEST(BuilderTest, RejectsMismatchedInput) {

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "core/uv_diagram.h"
 #include "datagen/generators.h"
+#include "testing/phase_trace.h"
 #include "uncertain/monte_carlo.h"
 
 namespace uvd {
@@ -96,18 +97,25 @@ TEST(PnnTest, UvIndexReadsFewerLeafPagesThanRtree) {
 }
 
 TEST(PnnTest, BreakdownComponentsAccumulate) {
+  UVD_SKIP_WITHOUT_TRACING();
   const UVDiagram d = BuildDiagram(800, 19);
-  rtree::PnnBreakdown uv_bd, rt_bd;
+  test::PhaseTrace trace;
   Rng rng(21);
   for (int t = 0; t < 10; ++t) {
     const geom::Point q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-    ASSERT_TRUE(d.QueryPnn(q, &uv_bd).ok());
-    ASSERT_TRUE(d.QueryPnnWithRtree(q, &rt_bd).ok());
+    ASSERT_TRUE(d.QueryPnn(q).ok());
+    ASSERT_TRUE(d.QueryPnnWithRtree(q).ok());
   }
-  EXPECT_GT(uv_bd.Total(), 0.0);
-  EXPECT_GT(rt_bd.Total(), 0.0);
-  EXPECT_GT(uv_bd.computation_seconds, 0.0);
-  EXPECT_GT(rt_bd.index_seconds, 0.0);
+  auto phases = trace.Totals();
+  // Every query runs each Fig. 6(c) component once per path; the UV path
+  // times its index phase twice (leaf retrieval, then verification).
+  for (const char* phase : {"pnn/retrieval", "pnn/computation", "rtree_pnn/index",
+                            "rtree_pnn/retrieval", "rtree_pnn/computation"}) {
+    EXPECT_EQ(phases[phase].count, 10u) << phase;
+  }
+  EXPECT_EQ(phases["pnn/index"].count, 20u);
+  EXPECT_GT(phases["pnn/computation"].total_ns, 0u);
+  EXPECT_GT(phases["rtree_pnn/index"].total_ns, 0u);
 }
 
 TEST(PnnTest, EveryAnswerHasPositiveProbability) {

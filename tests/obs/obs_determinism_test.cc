@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/uv_diagram.h"
@@ -18,6 +20,7 @@
 #include "query/result_digest.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_uv_diagram.h"
+#include "testing/phase_trace.h"
 
 namespace uvd {
 namespace {
@@ -106,8 +109,49 @@ TEST(ObsDeterminismTest, ObsOnAndOffAreBitwiseIdentical) {
   // only while metrics are enabled.
   EXPECT_EQ(off.pnn_latency_count, 0u);
   EXPECT_EQ(on.pnn_latency_count, 120u);
+#if !defined(UVD_DISABLE_TRACING)
   // Tracing recorded build + query spans during the on-leg.
   EXPECT_GT(obs::TraceRecorder::Global().event_count(), 0u);
+#endif
+}
+
+TEST(ObsDeterminismTest, TracedBuildIsIdenticalAndTimesEveryBuildPhase) {
+  UVD_SKIP_WITHOUT_TRACING();
+  ObsStateGuard guard;
+  datagen::DatasetOptions data;
+  data.count = 900;  // enough for a stage-2 scaffold: every phase runs
+  data.seed = 59;
+  const geom::Box domain = datagen::DomainFor(data);
+  const auto objects = datagen::GenerateUniform(data);
+  core::UVDiagramOptions options;
+  options.method = core::BuildMethod::kICR;  // ICR also generates r-objects
+  options.build_threads = 4;
+
+  const auto serialized = [&] {
+    auto diagram = core::UVDiagram::Build(objects, domain, options).ValueOrDie();
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(diagram.index().SerializeStructure(&bytes).ok());
+    return bytes;
+  };
+  const std::vector<uint8_t> untraced = serialized();
+  std::map<std::string, obs::PhaseTotal> phases;
+  {
+    test::PhaseTrace trace;
+    EXPECT_EQ(serialized(), untraced);
+    shard::ShardedUVDiagramOptions sharded;
+    sharded.num_shards = 2;
+    ASSERT_TRUE(shard::ShardedUVDiagram::Build(objects, domain, sharded).ok());
+    phases = trace.Totals();
+  }
+  // The build half of the span catalog (docs/OBSERVABILITY.md).
+  for (const char* phase :
+       {"build/stage1", "build/stage1_worker", "build/robject", "build/stage2",
+        "build/stage2_member", "build/stage2_prefix", "build/stage2_route",
+        "build/stage2_subtree", "build/stage2_worker", "build/stage2_stitch",
+        "build/stage2_finalize", "cr/seed", "cr/prune", "cr/traversal", "cr/kernel",
+        "rtree/decode", "shard/build_shard"}) {
+    EXPECT_GT(phases[phase].total_ns, 0u) << phase;
+  }
 }
 
 TEST(ObsDeterminismTest, ShardedAnswersIdenticalAcrossObsToggle) {

@@ -1,7 +1,8 @@
 // Tests for the scoped-span tracer: the disabled-by-default contract,
-// nested spans, ring-buffer overwrite accounting, concurrent recording
-// from a thread pool (the TSan job runs this binary), and a golden-file
-// check of the Chrome trace-event export.
+// nested spans, ring-buffer overwrite accounting, exact phase totals past
+// overwrite and across threads, concurrent recording from a thread pool
+// (the TSan job runs this binary), and a golden-file check of the Chrome
+// trace-event export.
 #include "obs/trace_recorder.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <string>
 
 #include "common/thread_pool.h"
+#include "testing/phase_trace.h"
 
 namespace uvd {
 namespace obs {
@@ -47,6 +49,7 @@ TEST(TraceRecorderTest, SpanOpenedWhileDisabledNeverRecords) {
 }
 
 TEST(TraceRecorderTest, NestedSpansRecordInnerFirst) {
+  UVD_SKIP_WITHOUT_TRACING();
   GlobalTraceGuard guard;
   TraceRecorder::Global().Clear();
   TraceRecorder::SetEnabled(true);
@@ -98,6 +101,7 @@ TEST(TraceRecorderTest, ConcurrentSpansUnderThreadPool) {
   // Workers record concurrently through the macro path; every span must
   // land (per-thread rings, no cross-thread contention) and the export
   // must hold together. TSan covers the synchronization.
+  UVD_SKIP_WITHOUT_TRACING();
   GlobalTraceGuard guard;
   TraceRecorder::Global().Clear();
   TraceRecorder::SetEnabled(true);
@@ -127,6 +131,64 @@ TEST(TraceRecorderTest, ConcurrentSpansUnderThreadPool) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"pool_span\""), std::string::npos);
   EXPECT_NE(json.find("\"nested_pool_span\""), std::string::npos);
+}
+
+TEST(TraceRecorderTest, PhaseTotalsStayExactPastRingOverwrite) {
+  // The ring keeps 4 of 10 events; the per-phase totals keep all 10. A
+  // name with the same text at another address (another translation
+  // unit's literal) merges into the same phase.
+  static const char kOddElsewhere[] = "odd";
+  TraceRecorder recorder(/*ring_capacity=*/4);
+  for (int i = 0; i < 10; ++i) {
+    recorder.Record("cat", i % 2 == 0 ? "even" : (i < 5 ? "odd" : kOddElsewhere),
+                    static_cast<uint64_t>(i), static_cast<uint64_t>(i));
+  }
+  ASSERT_EQ(recorder.dropped(), 6u);
+  const auto totals = recorder.PhaseTotals();
+  ASSERT_EQ(totals.size(), 2u);
+  EXPECT_EQ(totals.at("cat/even").count, 5u);
+  EXPECT_EQ(totals.at("cat/even").total_ns, (0 + 2 + 4 + 6 + 8) * 1000u);
+  EXPECT_EQ(totals.at("cat/odd").count, 5u);
+  EXPECT_EQ(totals.at("cat/odd").total_ns, (1 + 3 + 5 + 7 + 9) * 1000u);
+  EXPECT_DOUBLE_EQ(totals.at("cat/odd").seconds(), 25e-6);
+
+  recorder.Clear();
+  EXPECT_TRUE(recorder.PhaseTotals().empty());
+  recorder.Record("cat", "even", 0, 3);
+  EXPECT_EQ(recorder.PhaseTotals().at("cat/even").count, 1u);
+}
+
+TEST(TraceRecorderTest, PhaseTotalsMergeAcrossThreads) {
+  // Four workers overflow their rings many times over; the totals count
+  // every span exactly, and each nested span's time lies inside its
+  // parent's.
+  UVD_SKIP_WITHOUT_TRACING();
+  GlobalTraceGuard guard;
+  TraceRecorder::Global().Clear();
+  TraceRecorder::SetEnabled(true);
+  constexpr int kWorkers = 4;
+  constexpr int kSpansPerWorker = 20000;  // > kDefaultRingCapacity / 2
+  {
+    ThreadPool pool(kWorkers);
+    for (int w = 0; w < kWorkers; ++w) {
+      pool.Submit([] {
+        for (int i = 0; i < kSpansPerWorker; ++i) {
+          UVD_TRACE_SPAN("test", "outer");
+          UVD_TRACE_SPAN("test", "inner");
+        }
+      });
+    }
+    pool.Wait();
+  }
+  TraceRecorder::SetEnabled(false);
+  EXPECT_GT(TraceRecorder::Global().dropped(), 0u);
+  const auto totals = TraceRecorder::Global().PhaseTotals();
+  EXPECT_EQ(totals.at("test/outer").count, uint64_t{kWorkers} * kSpansPerWorker);
+  EXPECT_EQ(totals.at("test/inner").count, uint64_t{kWorkers} * kSpansPerWorker);
+  EXPECT_LE(totals.at("test/inner").total_ns, totals.at("test/outer").total_ns);
+
+  TraceRecorder::Global().Clear();
+  EXPECT_TRUE(TraceRecorder::Global().PhaseTotals().empty());
 }
 
 TEST(TraceRecorderTest, ChromeTraceExportGolden) {

@@ -1,5 +1,5 @@
 // Tests for the branch-and-prune PNN baseline of [14]: correctness of the
-// candidate set against brute force, pruning effectiveness, breakdown.
+// candidate set against brute force, pruning effectiveness.
 #include "rtree/pnn_baseline.h"
 
 #include <gtest/gtest.h>
@@ -88,15 +88,12 @@ TEST(PnnBaselineTest, FullEvaluationProbabilitiesSumToOne) {
   Rng rng(77);
   for (int trial = 0; trial < 10; ++trial) {
     const geom::Point q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-    PnnBreakdown breakdown;
     const auto answers =
-        EvaluatePnnWithRtree(*f.tree, f.store, q, {}, &f.stats, &breakdown)
-            .ValueOrDie();
+        EvaluatePnnWithRtree(*f.tree, f.store, q, {}, &f.stats).ValueOrDie();
     ASSERT_FALSE(answers.empty());
     double total = 0;
     for (const auto& a : answers) total += a.probability;
     EXPECT_NEAR(total, 1.0, 5e-3);
-    EXPECT_GT(breakdown.Total(), 0.0);
   }
 }
 
@@ -120,17 +117,6 @@ TEST(PnnBaselineTest, AnswerSetMatchesBruteForceThroughFullPath) {
       EXPECT_TRUE(std::binary_search(want.begin(), want.end(), id));
     }
   }
-}
-
-TEST(PnnBaselineTest, BreakdownAccumulates) {
-  PnnBreakdown acc;
-  PnnBreakdown one{0.1, 0.2, 0.3};
-  acc.Accumulate(one);
-  acc.Accumulate(one);
-  EXPECT_NEAR(acc.index_seconds, 0.2, 1e-12);
-  EXPECT_NEAR(acc.retrieval_seconds, 0.4, 1e-12);
-  EXPECT_NEAR(acc.computation_seconds, 0.6, 1e-12);
-  EXPECT_NEAR(acc.Total(), 1.2, 1e-12);
 }
 
 TEST(PnnBaselineTest, DenseClusterManyAnswers) {
