@@ -26,12 +26,12 @@ int main() {
   auto diagram = core::UVDiagram::Build(std::move(devices), domain).ValueOrDie();
 
   // Sample NN-candidate density on a grid via UV-partition queries.
-  const int kGrid = 64;
-  const double cell = opts.domain_size / kGrid;
-  std::vector<double> density(static_cast<size_t>(kGrid) * kGrid, 0.0);
+  const int kCells = 64;
+  const double cell = opts.domain_size / kCells;
+  std::vector<double> density(static_cast<size_t>(kCells) * kCells, 0.0);
   double max_density = 0.0;
-  for (int gy = 0; gy < kGrid; ++gy) {
-    for (int gx = 0; gx < kGrid; ++gx) {
+  for (int gy = 0; gy < kCells; ++gy) {
+    for (int gx = 0; gx < kCells; ++gx) {
       const geom::Box range({gx * cell, gy * cell}, {(gx + 1) * cell, (gy + 1) * cell});
       double acc = 0.0;
       for (const auto& p : diagram.QueryUvPartitions(range)) {
@@ -43,7 +43,7 @@ int main() {
         if (!inter.IsEmpty()) acc += p.density * inter.Area();
       }
       acc /= range.Area();
-      density[static_cast<size_t>(gy) * kGrid + gx] = acc;
+      density[static_cast<size_t>(gy) * kCells + gx] = acc;
       max_density = std::max(max_density, acc);
     }
   }
@@ -51,10 +51,10 @@ int main() {
   // PGM heat map (bright = many possible nearest neighbors).
   const char* pgm_path = "nn_heatmap.pgm";
   if (FILE* f = std::fopen(pgm_path, "w")) {
-    std::fprintf(f, "P2\n%d %d\n255\n", kGrid, kGrid);
-    for (int gy = kGrid - 1; gy >= 0; --gy) {  // north up
-      for (int gx = 0; gx < kGrid; ++gx) {
-        const double v = density[static_cast<size_t>(gy) * kGrid + gx];
+    std::fprintf(f, "P2\n%d %d\n255\n", kCells, kCells);
+    for (int gy = kCells - 1; gy >= 0; --gy) {  // north up
+      for (int gx = 0; gx < kCells; ++gx) {
+        const double v = density[static_cast<size_t>(gy) * kCells + gx];
         std::fprintf(f, "%d ", static_cast<int>(255.0 * v / max_density));
       }
       std::fprintf(f, "\n");

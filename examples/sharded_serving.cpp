@@ -2,8 +2,7 @@
 // a query batch through the ShardRouter, and show border correctness at a
 // cut line (src/shard/).
 //
-//   $ ./sharded_serving [--rebalance] [--metrics] [--trace-out <file>]
-//                       [--prom-out <file>]
+//   $ ./sharded_serving [--metrics] [--trace-out <file>] [--prom-out <file>]
 //
 // --metrics prints the deployment's unified MetricsRegistry snapshot
 // (JSON) after serving; --trace-out records the batch with phase tracing
@@ -18,11 +17,9 @@
 // cut-line ownership so every point is answered by exactly one shard —
 // bitwise-identically to an unsharded build.
 //
-// Act two shows the data-adaptive loop on a skewed 10:1 clustered dataset:
-// count-blind grid cuts leave a hot shard, BalanceReport() measures it,
-// RebalanceAdvisor proposes extent-weighted median cuts, and --rebalance
-// applies them via a kMedian rebuild (answers stay bitwise-identical
-// either way; without the flag the proposal is only printed).
+// Act two builds the same median cuts over a skewed 10:1 clustered city:
+// the cuts follow the data, and BalanceReport() shows the shards staying
+// balanced.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -32,17 +29,14 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "query/query_engine.h"
-#include "shard/rebalance_advisor.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_uv_diagram.h"
 
 int main(int argc, char** argv) {
   using namespace uvd;
-  bool apply_rebalance = false;
   bool print_metrics = false;
   std::string trace_out, prom_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rebalance") == 0) apply_rebalance = true;
     if (std::strcmp(argv[i], "--metrics") == 0) print_metrics = true;
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
@@ -53,7 +47,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_out.empty()) obs::TraceRecorder::SetEnabled(true);
 
-  // The same synthetic city, served from a 2 x 2 shard grid.
+  // The same synthetic city, served from four median-cut shards.
   datagen::DatasetOptions data;
   data.count = 1500;
   data.seed = 4;
@@ -87,7 +81,16 @@ int main(int argc, char** argv) {
   for (const auto& p : datagen::TrajectoryQueryPoints(300, domain, 20.0, 9)) {
     batch.push_back(query::Query::Pnn(p));
   }
-  const geom::Point cut_probe{sharded.shard(1).box.lo.x, domain.Center().y};
+  // The left edge of any shard off the domain's left edge is an interior
+  // cut line; probe it halfway up that shard.
+  geom::Point cut_probe = domain.Center();
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    const geom::Box& box = sharded.shard(s).box;
+    if (box.lo.x > domain.lo.x) {
+      cut_probe = {box.lo.x, 0.5 * (box.lo.y + box.hi.y)};
+      break;
+    }
+  }
   batch.push_back(query::Query::Pnn(cut_probe));  // exactly on the cut line
   const auto results = router.ExecuteBatch(batch);
   std::printf("routed %zu PNN probes across %zu shards\n", results.size(),
@@ -140,30 +143,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Act two: the data-adaptive loop. A 10:1 clustered city under the same
-  // grid cuts has a hot shard; the advisor measures it, proposes
-  // extent-weighted median cuts, and (with --rebalance) rebuilds.
+  // Act two: the same median cuts over a 10:1 clustered city follow the
+  // data, so no shard runs hot.
   datagen::DatasetOptions skewed_data;
   skewed_data.count = 1200;
   skewed_data.seed = 8;
   const auto skewed_objects = datagen::GenerateClusters(
       skewed_data, {{{2500.0, 2500.0}, 600.0, 10.0},
                     {{7500.0, 7500.0}, 600.0, 1.0}});
-  shard::ShardedUVDiagramOptions skewed_options;
-  skewed_options.num_shards = 4;  // still count-blind kGrid
-  auto skewed = shard::ShardedUVDiagram::Build(skewed_objects, domain,
-                                               skewed_options)
-                    .ValueOrDie();
-  std::printf("the same grid over a 10:1 clustered city leaves hot shards:\n%s\n",
+  const auto skewed =
+      shard::ShardedUVDiagram::Build(skewed_objects, domain, options).ValueOrDie();
+  std::printf("median cuts over a 10:1 clustered city stay balanced:\n%s",
               skewed.BalanceReportString().c_str());
-  const shard::RebalanceAdvice advice = shard::RebalanceAdvisor::Advise(skewed);
-  std::printf("%s", advice.ToString().c_str());
-  if (advice.rebalance_recommended && apply_rebalance) {
-    skewed = shard::RebalanceAdvisor::ApplyRebalance(skewed).ValueOrDie();
-    std::printf("\nafter the kMedian rebuild:\n%s",
-                skewed.BalanceReportString().c_str());
-  } else if (advice.rebalance_recommended) {
-    std::printf("(run with --rebalance to apply the proposal via rebuild)\n");
-  }
   return identical ? 0 : 1;
 }

@@ -25,8 +25,9 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 
 
-def strip_code(text: str) -> str:
-    """Blanks out fenced code blocks and inline code spans."""
+def strip_code(text: str, inline: bool = True) -> str:
+    """Blanks out fenced code blocks and (unless `inline` is false) inline
+    code spans."""
     out = []
     in_fence = False
     for line in text.splitlines():
@@ -34,7 +35,10 @@ def strip_code(text: str) -> str:
             in_fence = not in_fence
             out.append("")
             continue
-        out.append("" if in_fence else re.sub(r"`[^`]*`", "", line))
+        if in_fence:
+            out.append("")
+        else:
+            out.append(re.sub(r"`[^`]*`", "", line) if inline else line)
     return "\n".join(out)
 
 
@@ -45,8 +49,10 @@ def github_slug(heading: str) -> str:
 
 
 def heading_slugs(path: Path) -> set:
+    # Inline code in a heading is part of its slug (github_slug unwraps
+    # it), so only fenced blocks are blanked here.
     slugs = set()
-    for line in strip_code(path.read_text(encoding="utf-8")).splitlines():
+    for line in strip_code(path.read_text(encoding="utf-8"), inline=False).splitlines():
         m = HEADING_RE.match(line)
         if m:
             slugs.add(github_slug(m.group(1)))

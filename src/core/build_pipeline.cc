@@ -66,14 +66,14 @@ std::vector<uint32_t> MortonOrder(
   const size_t n = objects.size();
   const double w = domain.Width() > 0.0 ? domain.Width() : 1.0;
   const double h = domain.Height() > 0.0 ? domain.Height() : 1.0;
-  constexpr double kGrid = 65535.0;
+  constexpr double kMortonMax = 65535.0;  // largest 16-bit cell index
   std::vector<uint64_t> keys(n);
   for (size_t i = 0; i < n; ++i) {
     const geom::Point c = objects[i].center();
     const double nx = std::min(1.0, std::max(0.0, (c.x - domain.lo.x) / w));
     const double ny = std::min(1.0, std::max(0.0, (c.y - domain.lo.y) / h));
-    keys[i] = (SpreadBits16(static_cast<uint32_t>(ny * kGrid)) << 1) |
-              SpreadBits16(static_cast<uint32_t>(nx * kGrid));
+    keys[i] = (SpreadBits16(static_cast<uint32_t>(ny * kMortonMax)) << 1) |
+              SpreadBits16(static_cast<uint32_t>(nx * kMortonMax));
   }
   std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
@@ -157,60 +157,6 @@ void Accumulate(const StageResult& r, BuildStats* s) {
   s->avg_r_objects += r.r_count;
 }
 
-/// Stage 1 materialized across `workers` from `pool` (run inline when the
-/// pool is null or there is one worker): results land positionally, in any
-/// order, and per-worker Stats shards are merged into `stats` before
-/// returning. A worker stops at its first R-tree leaf-read failure, which
-/// is returned (the lowest worker's when several fail). Shared by
-/// ComputeStage1Candidates and RunBuildPipeline.
-Status RunStage1Materialized(const std::vector<uncertain::UncertainObject>& objects,
-                           const rtree::RTree& tree, const geom::Box& domain,
-                           const BuildPipelineOptions& options, int workers,
-                           ThreadPool* pool, std::vector<StageResult>* results,
-                           Stats* stats) {
-  UVD_TRACE_SPAN("build", "stage1");
-  const size_t n = objects.size();
-  const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
-  results->resize(n);
-  // Tiled Morton sweep under kShared: workers claim contiguous tiles of
-  // the space-filling order, so each session's frontier/bound/memo sees
-  // spatially adjacent anchors back to back (ids are in dataset order,
-  // which is spatially random, so this matters for one worker too).
-  // Results land positionally ((*results)[i]) and every per-object output
-  // is state-independent, so the claim interleaving and tile size never
-  // show in the output.
-  const bool tiled = options.cr.traversal_mode == rtree::TraversalMode::kShared;
-  std::vector<uint32_t> order;
-  if (tiled) order = MortonOrder(objects, domain);
-  const size_t tile = tiled ? kTraversalTileSize : 1;
-  std::vector<Stats> shards(static_cast<size_t>(workers));
-  std::vector<Status> failures(static_cast<size_t>(workers));
-  std::atomic<size_t> next{0};
-  RunWorkers(pool, workers, [&](int w) {
-    UVD_TRACE_SPAN("build", "stage1_worker");
-    Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
-    const CrObjectFinder finder(objects, tree, domain, options.cr, shard);
-    CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, shard);
-    while (ws.status().ok()) {
-      const size_t claim = next.fetch_add(1, std::memory_order_relaxed);
-      const size_t begin = claim * tile;
-      if (begin >= n) break;
-      const size_t end = std::min(n, begin + tile);
-      for (size_t j = begin; j < end; ++j) {
-        const size_t i = tiled ? order[j] : j;
-        (*results)[i] = RunObjectStage(objects, finder, i, domain, options.method,
-                                       denom, options.cr.kernel_mode, shard, &ws);
-      }
-    }
-    failures[static_cast<size_t>(w)] = ws.status();
-  });
-  if (stats != nullptr) {
-    for (const Stats& shard : shards) stats->MergeFrom(shard);
-  }
-  for (const Status& failure : failures) UVD_RETURN_NOT_OK(failure);
-  return Status::OK();
-}
-
 Status ValidateIdOrder(const std::vector<uncertain::UncertainObject>& objects) {
   for (size_t i = 0; i < objects.size(); ++i) {
     if (objects[i].id() != static_cast<int>(i)) {
@@ -228,6 +174,15 @@ void NormalizeBuildStats(size_t n, BuildStats* s) {
   s->c_pruning_ratio /= static_cast<double>(n);
   s->avg_cr_objects /= static_cast<double>(n);
   s->avg_r_objects /= static_cast<double>(n);
+}
+
+/// The worker count of a build over n objects, for both stages:
+/// build_threads (hardware concurrency when <= 0) capped at n, since a
+/// worker beyond the n-th would find nothing to claim.
+int BuildWorkers(const BuildPipelineOptions& options, size_t n) {
+  const int threads =
+      options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads();
+  return n > 0 ? static_cast<int>(std::min(static_cast<size_t>(threads), n)) : 1;
 }
 
 }  // namespace
@@ -251,55 +206,82 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
   if (objects.size() != ptrs.size()) {
     return Status::InvalidArgument("objects/ptrs size mismatch");
   }
-  UVD_RETURN_NOT_OK(ValidateIdOrder(objects));
   const size_t n = objects.size();
-  const int workers =
-      options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads();
-
+  const int workers = BuildWorkers(options, n);
   std::optional<ThreadPool> pool;
   if (workers > 1) pool.emplace(workers);
   ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
-  std::vector<StageResult> results;
-  UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
-                                          pool_ptr, &results, stats));
-  // Accumulate the per-object BuildStats deltas in id order — the same
-  // floating-point summation order for every worker count, bit for bit.
-  BuildStats local;
-  for (size_t i = 0; i < n; ++i) Accumulate(results[i], &local);
-  NormalizeBuildStats(n, &local);
+  std::vector<std::vector<int>> index_ids;
+  UVD_RETURN_NOT_OK(ComputeStage1Candidates(objects, tree, domain, options, &index_ids,
+                                            build_stats, stats, pool_ptr));
 
   std::vector<UVIndex::BulkInsertItem> items(n);
   for (size_t i = 0; i < n; ++i) {
     items[i].region = objects[i].region();
     items[i].id = objects[i].id();
     items[i].ptr = ptrs[i];
-    items[i].cr_regions = RegionsOf(objects, results[i].index_ids);
-    results[i].index_ids.clear();
-    results[i].index_ids.shrink_to_fit();
+    items[i].cr_regions = RegionsOf(objects, index_ids[i]);
+    index_ids[i].clear();
+    index_ids[i].shrink_to_fit();
   }
-  UVD_RETURN_NOT_OK(
-      RunStage2(std::move(items), pool_ptr, workers, options.stage2_max_depth, index));
-  if (build_stats != nullptr) *build_stats = local;
-  return Status::OK();
+  return RunStage2(std::move(items), pool_ptr, workers, options.stage2_max_depth, index);
 }
 
 Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& objects,
                                const rtree::RTree& tree, const geom::Box& domain,
                                const BuildPipelineOptions& options,
                                std::vector<std::vector<int>>* index_ids,
-                               BuildStats* build_stats, Stats* stats) {
+                               BuildStats* build_stats, Stats* stats, ThreadPool* pool) {
   UVD_RETURN_NOT_OK(ValidateIdOrder(objects));
   const size_t n = objects.size();
-  const int workers = std::min<int>(
-      options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads(),
-      n > 0 ? static_cast<int>(n) : 1);
+  const int workers = BuildWorkers(options, n);
+  std::optional<ThreadPool> own_pool;
+  if (pool == nullptr && workers > 1) pool = &own_pool.emplace(workers);
 
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-  std::vector<StageResult> results;
-  UVD_RETURN_NOT_OK(RunStage1Materialized(objects, tree, domain, options, workers,
-                                          pool ? &*pool : nullptr, &results, stats));
+  UVD_TRACE_SPAN("build", "stage1");
+  const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
+  std::vector<StageResult> results(n);
+  // Tiled Morton sweep under kShared: workers claim contiguous tiles of
+  // the space-filling order, so each session's frontier/bound/memo sees
+  // spatially adjacent anchors back to back (ids are in dataset order,
+  // which is spatially random, so this matters for one worker too).
+  // Results land positionally (results[i]) and every per-object output is
+  // state-independent, so the claim interleaving and tile size never show
+  // in the output.
+  const bool tiled = options.cr.traversal_mode == rtree::TraversalMode::kShared;
+  std::vector<uint32_t> order;
+  if (tiled) order = MortonOrder(objects, domain);
+  const size_t tile = tiled ? kTraversalTileSize : 1;
+  std::vector<Stats> shards(static_cast<size_t>(workers));
+  std::vector<Status> failures(static_cast<size_t>(workers));
+  std::atomic<size_t> next{0};
+  RunWorkers(pool, workers, [&](int w) {
+    UVD_TRACE_SPAN("build", "stage1_worker");
+    Stats* shard = stats != nullptr ? &shards[static_cast<size_t>(w)] : nullptr;
+    const CrObjectFinder finder(objects, tree, domain, options.cr, shard);
+    CrFinderWorkspace ws = MakeWorkspace(tree, options.cr, shard);
+    while (ws.status().ok()) {
+      const size_t claim = next.fetch_add(1, std::memory_order_relaxed);
+      const size_t begin = claim * tile;
+      if (begin >= n) break;
+      const size_t end = std::min(n, begin + tile);
+      for (size_t j = begin; j < end; ++j) {
+        const size_t i = tiled ? order[j] : j;
+        results[i] = RunObjectStage(objects, finder, i, domain, options.method, denom,
+                                    options.cr.kernel_mode, shard, &ws);
+      }
+    }
+    failures[static_cast<size_t>(w)] = ws.status();
+  });
+  if (stats != nullptr) {
+    for (const Stats& shard : shards) stats->MergeFrom(shard);
+  }
+  // A worker stops at its first R-tree leaf-read failure; the lowest
+  // failing worker's is returned.
+  for (const Status& failure : failures) UVD_RETURN_NOT_OK(failure);
 
+  // Accumulate the per-object BuildStats deltas in id order — the same
+  // floating-point summation order for every worker count, bit for bit.
   BuildStats local;
   index_ids->clear();
   index_ids->reserve(n);

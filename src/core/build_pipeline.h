@@ -11,8 +11,9 @@
 //             set — so naively it is serial.
 //
 // RunBuildPipeline runs the two as disjoint phases on one path for every
-// worker count: stage 1 is materialized across the workers, then RunStage2
-// hands the results to UVIndex::InsertObjectsPartitioned and finalizes.
+// worker count: ComputeStage1Candidates materializes stage 1 across the
+// workers, then RunStage2 hands the results to
+// UVIndex::InsertObjectsPartitioned and finalizes.
 // With one worker that is the plain serial insertion loop; with more, a
 // short serial prefix grows the top-level scaffold, every object is routed
 // to each frontier subtree its UV-cell may overlap, subtrees build
@@ -20,7 +21,8 @@
 // the new nodes into the serial creation order (see
 // UVIndex::InsertObjectsPartitioned for the full contract). Sharded builds
 // (src/shard/) call RunStage2 once per shard. build_threads <= 0 uses
-// hardware concurrency.
+// hardware concurrency; either way a build of n objects runs at most n
+// workers.
 //
 // Each construction switch is one field, on the options of the code it
 // switches: CrFinderOptions::kernel_mode and ::traversal_mode (stage 1,
@@ -114,11 +116,11 @@ struct BuildPipelineOptions {
   int stage2_max_depth = 2;
 };
 
-/// Runs the staged pipeline: materialized stage-1 fan-out, then RunStage2.
-/// `tree` is the R-tree over the same objects (Algorithm 2's k-NN and
-/// range queries); `ptrs` are the ObjectStore pointers stored in leaf
-/// tuples. Objects must be in id order (objects[i].id() == i); `index`
-/// must be fresh.
+/// Runs the staged pipeline: ComputeStage1Candidates, then RunStage2, on
+/// one pool of min(build_threads, n) workers. `tree` is the R-tree over the
+/// same objects (Algorithm 2's k-NN and range queries); `ptrs` are the
+/// ObjectStore pointers stored in leaf tuples. Objects must be in id order
+/// (objects[i].id() == i); `index` must be fresh.
 Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
                         const std::vector<uncertain::ObjectPtr>& ptrs,
                         const rtree::RTree& tree, const geom::Box& domain,
@@ -137,9 +139,10 @@ Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
 
 /// Stage 1 alone, materialized: index_ids->at(i) holds the ids whose
 /// outside regions describe object i's UV-cell (cr-objects for IC,
-/// r-objects for ICR/Basic) — exactly what RunBuildPipeline would feed
-/// stage 2. Fans out over `build_threads` workers with per-worker Stats
-/// shards; per-object results and the BuildStats aggregation are
+/// r-objects for ICR/Basic) — exactly what RunBuildPipeline feeds stage 2.
+/// Fans out over min(build_threads, n) workers with per-worker Stats
+/// shards, on `pool` when given (RunBuildPipeline passes the pool its
+/// stage 2 reuses) and otherwise on a pool of its own; per-object results and the BuildStats aggregation are
 /// accumulated in id order, so the output is bit-identical for every
 /// thread count. Sharded construction (src/shard/) runs this once against
 /// the global population, then runs RunStage2 on every sub-domain index
@@ -151,7 +154,7 @@ Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& ob
                                const BuildPipelineOptions& options,
                                std::vector<std::vector<int>>* index_ids,
                                BuildStats* build_stats = nullptr,
-                               Stats* stats = nullptr);
+                               Stats* stats = nullptr, ThreadPool* pool = nullptr);
 
 }  // namespace core
 }  // namespace uvd

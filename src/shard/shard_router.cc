@@ -162,9 +162,11 @@ std::vector<query::QueryResult> ShardRouter::ExecuteBatch(
     sub.reserve(plan[s].size());
     for (const Slot& slot : plan[s]) sub.push_back(slot.query);
     if (timed) {
+      // Every query of the sub-batch waited the sub-batch's wall time, so
+      // each routed query is one sample of it.
       const uint64_t t0 = obs::NowMicros();
       shard_results[s] = engines_[s]->ExecuteBatch(sub);
-      shard_obs_[s]->routed_latency_us.Record(obs::NowMicros() - t0);
+      shard_obs_[s]->routed_latency_us.RecordMany(obs::NowMicros() - t0, sub.size());
     } else {
       shard_results[s] = engines_[s]->ExecuteBatch(sub);
     }
@@ -173,30 +175,20 @@ std::vector<query::QueryResult> ShardRouter::ExecuteBatch(
   for (size_t s = 0; s < num_shards; ++s) {
     if (!plan[s].empty()) active.push_back(s);
   }
-  if (pool_ == nullptr || active.size() <= 1) {
-    for (size_t s : active) run_shard(s);
-  } else {
-    // Per-call completion tracking (WaitGroup, not the pool's global
-    // Wait): two concurrent router batches share the pool without coupling
-    // each other's latency to the slower batch's drain. WaitGroup's
-    // counter is UVD_GUARDED_BY its mutex, so the Done/Wait handshake is
-    // checked at compile time under -Wthread-safety.
-    std::atomic<size_t> next{0};
-    const size_t tasks = std::min<size_t>(
-        active.size(), static_cast<size_t>(pool_->num_threads()));
-    auto done = std::make_shared<WaitGroup>(static_cast<int>(tasks));
-    for (size_t t = 0; t < tasks; ++t) {
-      pool_->Submit([&, done] {
-        for (;;) {
-          const size_t a = next.fetch_add(1, std::memory_order_relaxed);
-          if (a >= active.size()) break;
-          run_shard(active[a]);
-        }
-        done->Done();
-      });
+  // RunWorkers waits for exactly this call's tasks, so concurrent router
+  // batches share the pool without waiting on each other's drain; with one
+  // active shard (or no pool) it runs inline.
+  const int tasks =
+      pool_ == nullptr ? 1 : static_cast<int>(std::min<size_t>(active.size(),
+                                                              pool_->num_threads()));
+  std::atomic<size_t> next{0};
+  RunWorkers(pool_.get(), tasks, [&](int) {
+    for (;;) {
+      const size_t a = next.fetch_add(1, std::memory_order_relaxed);
+      if (a >= active.size()) return;
+      run_shard(active[a]);
     }
-    done->Wait();
-  }
+  });
 
   // Reassemble positionally; ascending shard order makes multi-shard
   // merges deterministic for every thread configuration.

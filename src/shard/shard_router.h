@@ -90,10 +90,12 @@ class ShardRouter {
   size_t num_shards() const { return engines_.size(); }
   const ShardRouterOptions& options() const { return options_; }
 
-  /// Router-side latency distribution of shard `s`'s routed sub-batches in
-  /// microseconds (queueing behind the router pool included — the number a
-  /// front-end actually waits on, as opposed to the engine's own per-query
-  /// kind_latency()). Empty while obs::MetricsEnabled() is off.
+  /// Router-side latency of the queries routed to shard `s`, in
+  /// microseconds: one sample per routed query, the wall time of the
+  /// sub-batch it rode in (queueing behind the router pool included — the
+  /// number a front-end actually waits on, as opposed to the engine's own
+  /// per-query kind_latency()). Its count equals routed_queries(s). Empty
+  /// while obs::MetricsEnabled() is off.
   const obs::LatencyHistogram& shard_latency(size_t s) const {
     return shard_obs_[s]->routed_latency_us;
   }
@@ -115,7 +117,7 @@ class ShardRouter {
   /// Registers the full sharded-serving surface on `registry`:
   ///   "<prefix>.shard<s>.*"                per-engine metrics
   ///                                        (QueryEngine::RegisterMetrics)
-  ///   "<prefix>.shard<s>.routed.latency.us" routed sub-batch latency
+  ///   "<prefix>.shard<s>.routed.latency.us" per routed query latency
   ///   "<prefix>.shard<s>.routed.queries"   routed query counter
   ///   "<prefix>.router.fanout.total"       query->shard routing slots
   ///   "<prefix>.router.multi_shard_queries" queries fanned to >1 shard
@@ -131,8 +133,8 @@ class ShardRouter {
   ///
   /// The router holds no mutex of its own: engines_/shard_obs_ are built
   /// in the constructor and immutable afterwards, per-worker accumulation
-  /// is relaxed-atomic, and per-call completion uses WaitGroup (whose
-  /// internal lock discipline is compile-time checked via
+  /// is relaxed-atomic, and per-call completion is RunWorkers' WaitGroup
+  /// (whose internal lock discipline is compile-time checked via
   /// common/thread_annotations.h). Any future mutable router state — e.g.
   /// the streaming merge or admission queues on the ROADMAP — must be
   /// UVD_GUARDED_BY an annotated Mutex (docs/STATIC_ANALYSIS.md).

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -22,27 +21,6 @@ namespace shard {
 
 namespace {
 
-/// Longest-axis recursive bisection; the lower/left half gets the extra
-/// shard of an odd count. The cut coordinate is computed once and shared by
-/// both halves, so adjacent boxes agree bitwise on their common edge.
-void Bisect(const geom::Box& box, int k, std::vector<geom::Box>* out) {
-  if (k <= 1) {
-    out->push_back(box);
-    return;
-  }
-  const int kl = (k + 1) / 2;
-  const double frac = static_cast<double>(kl) / static_cast<double>(k);
-  if (box.Width() >= box.Height()) {
-    const double cut = box.lo.x + (box.hi.x - box.lo.x) * frac;
-    Bisect(geom::Box(box.lo, {cut, box.hi.y}), kl, out);
-    Bisect(geom::Box({cut, box.lo.y}, box.hi), k - kl, out);
-  } else {
-    const double cut = box.lo.y + (box.hi.y - box.lo.y) * frac;
-    Bisect(geom::Box(box.lo, {box.hi.x, cut}), kl, out);
-    Bisect(geom::Box({box.lo.x, cut}, box.hi), k - kl, out);
-  }
-}
-
 /// Clamped half-open ownership along one axis: [lo, hi), closed at hi only
 /// where hi is the domain's own max edge (no upper neighbor exists there).
 bool OwnsAxis(double v, double lo, double hi, double domain_hi) {
@@ -51,90 +29,37 @@ bool OwnsAxis(double v, double lo, double hi, double domain_hi) {
   return v == hi && hi == domain_hi;
 }
 
-/// Per-object extent interval along the cut axis plus its load weight
-/// (ObjectExtent::weight), already clamped to [axis_lo, axis_hi].
-struct AxisSpan {
-  double lo = 0.0;
-  double hi = 0.0;
-  double weight = 1.0;
-};
-
-/// One split of the extent-weighted median partitioner: the cut along
-/// [axis_lo, axis_hi] minimizing the predicted worst per-shard share
-/// max(w_lower/kl, w_upper/kr), where w_lower(c) sums the weights of
-/// spans with lo <= c and w_upper(c) those with hi >= c — an extent
-/// straddling c counts toward both sides, exactly the replica the cut
-/// would create, and unit weights reduce the sums to object counts. Both
-/// sums change only at span endpoints, so the candidates are every
-/// distinct endpoint plus the midpoints between consecutive distinct
-/// endpoints (weights shift WHERE the optimum lands, never where the step
-/// points are); ties break toward the geometric proportional cut, then
-/// toward the smaller coordinate (deterministic). Falls back to the
-/// geometric cut when no candidate is strictly interior.
-double MedianCut(const std::vector<AxisSpan>& spans, int kl, int kr,
+/// One split of the median partitioner: the cut along [axis_lo, axis_hi]
+/// minimizing the predicted worst per-shard share
+/// max(n_lower/kl, n_upper/kr), where n_lower(c) counts the spans with
+/// lo <= c and n_upper(c) those with hi >= c — a span straddling c counts
+/// toward both sides, exactly the replica the cut would create. `los` and
+/// `his` are the spans' endpoints, clamped to the axis. Both counts change
+/// only at endpoints, so the candidates are every distinct endpoint plus
+/// the midpoints between consecutive distinct endpoints; ties break toward
+/// the geometric proportional cut, then toward the smaller coordinate
+/// (deterministic). Falls back to the geometric cut when no candidate is
+/// strictly interior.
+double MedianCut(std::vector<double> los, std::vector<double> his, int kl, int kr,
                  double axis_lo, double axis_hi) {
   const double geometric =
       axis_lo + (axis_hi - axis_lo) *
                     (static_cast<double>(kl) / static_cast<double>(kl + kr));
-  // (coordinate, weight) pairs sorted by coordinate, with weight prefix
-  // sums so each candidate's w_lower / w_upper is two binary searches.
-  std::vector<std::pair<double, double>> los, his;
-  std::vector<double> endpoints;
-  los.reserve(spans.size());
-  his.reserve(spans.size());
-  endpoints.reserve(spans.size() * 2);
-  for (const AxisSpan& span : spans) {
-    los.emplace_back(span.lo, span.weight);
-    his.emplace_back(span.hi, span.weight);
-    endpoints.push_back(span.lo);
-    endpoints.push_back(span.hi);
-  }
-  // Sort by coordinate only: equal-coordinate weights land in one prefix
-  // bucket regardless of their relative order, so the sums — and the cut
-  // — stay deterministic for a fixed dataset.
-  const auto by_coord = [](const std::pair<double, double>& a,
-                           const std::pair<double, double>& b) {
-    return a.first < b.first;
-  };
-  std::sort(los.begin(), los.end(), by_coord);
-  std::sort(his.begin(), his.end(), by_coord);
-  std::sort(endpoints.begin(), endpoints.end());
+  std::sort(los.begin(), los.end());
+  std::sort(his.begin(), his.end());
+  std::vector<double> endpoints(los.size() + his.size());
+  std::merge(los.begin(), los.end(), his.begin(), his.end(), endpoints.begin());
   endpoints.erase(std::unique(endpoints.begin(), endpoints.end()), endpoints.end());
-
-  // prefix[i] = total weight of the first i sorted spans.
-  std::vector<double> lo_prefix(los.size() + 1, 0.0);
-  std::vector<double> hi_prefix(his.size() + 1, 0.0);
-  for (size_t i = 0; i < los.size(); ++i) {
-    lo_prefix[i + 1] = lo_prefix[i] + los[i].second;
-  }
-  for (size_t i = 0; i < his.size(); ++i) {
-    hi_prefix[i + 1] = hi_prefix[i] + his[i].second;
-  }
-  const double total_weight = hi_prefix[his.size()];
-
-  std::vector<double> candidates;
-  candidates.reserve(endpoints.size() * 2);
-  for (size_t i = 0; i < endpoints.size(); ++i) {
-    candidates.push_back(endpoints[i]);
-    if (i + 1 < endpoints.size()) {
-      candidates.push_back(0.5 * (endpoints[i] + endpoints[i + 1]));
-    }
-  }
 
   double best_cut = geometric;
   double best_share = std::numeric_limits<double>::infinity();
   double best_geo_dist = std::numeric_limits<double>::infinity();
-  for (const double c : candidates) {
-    if (!(c > axis_lo && c < axis_hi)) continue;  // sub-boxes must have area
-    const size_t lo_idx = static_cast<size_t>(
-        std::upper_bound(los.begin(), los.end(), std::make_pair(c, 0.0), by_coord) -
-        los.begin());
-    const size_t hi_idx = static_cast<size_t>(
-        std::lower_bound(his.begin(), his.end(), std::make_pair(c, 0.0), by_coord) -
-        his.begin());
-    const double w_lower = lo_prefix[lo_idx];
-    const double w_upper = total_weight - hi_prefix[hi_idx];
-    const double share = std::max(w_lower / kl, w_upper / kr);
+  const auto consider = [&](double c) {
+    if (!(c > axis_lo && c < axis_hi)) return;  // sub-boxes must have area
+    const auto n_lower = std::upper_bound(los.begin(), los.end(), c) - los.begin();
+    const auto n_upper = his.end() - std::lower_bound(his.begin(), his.end(), c);
+    const double share = std::max(static_cast<double>(n_lower) / kl,
+                                  static_cast<double>(n_upper) / kr);
     const double geo_dist = std::abs(c - geometric);
     if (share < best_share ||
         (share == best_share &&
@@ -143,19 +68,21 @@ double MedianCut(const std::vector<AxisSpan>& spans, int kl, int kr,
       best_share = share;
       best_geo_dist = geo_dist;
     }
+  };
+  for (size_t i = 0; i < endpoints.size(); ++i) {
+    consider(endpoints[i]);
+    if (i + 1 < endpoints.size()) consider(0.5 * (endpoints[i] + endpoints[i + 1]));
   }
   return best_cut;
 }
 
-/// Recursive kMedian partitioner. `ids` are the objects whose extent boxes
-/// touch `box` (straddlers of an ancestor cut appear on both sides, so the
-/// recursion sees the same replica-inflated loads the shards will carry).
-/// The cut double is computed once and shared by both halves — adjacent
-/// boxes agree bitwise on their common edge, as the half-open router
-/// requires.
-void MedianSplit(const geom::Box& box, int k,
-                 const std::vector<ObjectExtent>& extents,
-                 const std::vector<uint32_t>& ids, std::vector<geom::Box>* out) {
+/// Recursive median partitioner. `extents` are the boxes touching `box`
+/// (straddlers of an ancestor cut appear on both sides, so the recursion
+/// sees the same replica-inflated loads the shards will carry). The cut
+/// double is computed once and shared by both halves — adjacent boxes agree
+/// bitwise on their common edge, as the half-open router requires.
+void MedianSplit(const geom::Box& box, int k, const std::vector<geom::Box>& extents,
+                 std::vector<geom::Box>* out) {
   if (k <= 1) {
     out->push_back(box);
     return;
@@ -166,105 +93,56 @@ void MedianSplit(const geom::Box& box, int k,
   const double axis_lo = cut_x ? box.lo.x : box.lo.y;
   const double axis_hi = cut_x ? box.hi.x : box.hi.y;
 
-  std::vector<AxisSpan> spans;
-  spans.reserve(ids.size());
-  for (const uint32_t id : ids) {
-    const geom::Box& b = extents[id].bounds;
-    spans.push_back({std::max(cut_x ? b.lo.x : b.lo.y, axis_lo),
-                     std::min(cut_x ? b.hi.x : b.hi.y, axis_hi),
-                     extents[id].weight});
+  std::vector<double> los, his;
+  los.reserve(extents.size());
+  his.reserve(extents.size());
+  for (const geom::Box& b : extents) {
+    los.push_back(std::max(cut_x ? b.lo.x : b.lo.y, axis_lo));
+    his.push_back(std::min(cut_x ? b.hi.x : b.hi.y, axis_hi));
   }
-  const double cut = MedianCut(spans, kl, kr, axis_lo, axis_hi);
+  const double cut = MedianCut(los, his, kl, kr, axis_lo, axis_hi);
 
-  std::vector<uint32_t> lower_ids, upper_ids;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (spans[i].lo <= cut) lower_ids.push_back(ids[i]);
-    if (spans[i].hi >= cut) upper_ids.push_back(ids[i]);
+  std::vector<geom::Box> lower, upper;
+  for (size_t i = 0; i < extents.size(); ++i) {
+    if (los[i] <= cut) lower.push_back(extents[i]);
+    if (his[i] >= cut) upper.push_back(extents[i]);
   }
   if (cut_x) {
-    MedianSplit(geom::Box(box.lo, {cut, box.hi.y}), kl, extents, lower_ids, out);
-    MedianSplit(geom::Box({cut, box.lo.y}, box.hi), kr, extents, upper_ids, out);
+    MedianSplit(geom::Box(box.lo, {cut, box.hi.y}), kl, lower, out);
+    MedianSplit(geom::Box({cut, box.lo.y}, box.hi), kr, upper, out);
   } else {
-    MedianSplit(geom::Box(box.lo, {box.hi.x, cut}), kl, extents, lower_ids, out);
-    MedianSplit(geom::Box({box.lo.x, cut}, box.hi), kr, extents, upper_ids, out);
+    MedianSplit(geom::Box(box.lo, {box.hi.x, cut}), kl, lower, out);
+    MedianSplit(geom::Box({box.lo.x, cut}, box.hi), kr, upper, out);
   }
 }
 
 }  // namespace
 
 std::vector<geom::Box> PartitionDomain(const geom::Box& domain, int num_shards,
-                                       ShardPartitioning partitioning) {
-  const int k = std::max(1, num_shards);
-  // K = 1: no cuts to compute — the single shard is the closed global
-  // domain box itself (computing a degenerate "cut" here would hand the
-  // sole shard a half-open max edge and drop boundary probes).
-  if (k == 1) return {domain};
+                                       const std::vector<geom::Box>& extents) {
+  // K = 1 makes no cut: the single shard is the closed global domain box
+  // itself (a degenerate "cut" would hand it a half-open max edge and drop
+  // boundary probes).
   std::vector<geom::Box> boxes;
-  boxes.reserve(static_cast<size_t>(k));
-  if (partitioning != ShardPartitioning::kGrid) {
-    // kBisection, and kMedian's data-blind degradation (no extents to
-    // weight the cuts with — see the ObjectExtent overload).
-    Bisect(domain, k, &boxes);
-    return boxes;
-  }
-  // Grid: the divisor pair closest to square (strips for a prime count).
-  int rows = 1;
-  for (int d = 1; d * d <= k; ++d) {
-    if (k % d == 0) rows = d;
-  }
-  const int cols = k / rows;
-  // One cut array per axis: adjacent boxes share the exact double.
-  std::vector<double> cuts_x(static_cast<size_t>(cols) + 1);
-  std::vector<double> cuts_y(static_cast<size_t>(rows) + 1);
-  for (int i = 0; i <= cols; ++i) {
-    cuts_x[static_cast<size_t>(i)] =
-        i == cols ? domain.hi.x
-                  : domain.lo.x + domain.Width() * static_cast<double>(i) /
-                                      static_cast<double>(cols);
-  }
-  for (int j = 0; j <= rows; ++j) {
-    cuts_y[static_cast<size_t>(j)] =
-        j == rows ? domain.hi.y
-                  : domain.lo.y + domain.Height() * static_cast<double>(j) /
-                                      static_cast<double>(rows);
-  }
-  for (int j = 0; j < rows; ++j) {
-    for (int i = 0; i < cols; ++i) {
-      boxes.emplace_back(
-          geom::Point{cuts_x[static_cast<size_t>(i)], cuts_y[static_cast<size_t>(j)]},
-          geom::Point{cuts_x[static_cast<size_t>(i) + 1],
-                      cuts_y[static_cast<size_t>(j) + 1]});
-    }
-  }
-  return boxes;
-}
-
-std::vector<geom::Box> PartitionDomain(const geom::Box& domain, int num_shards,
-                                       ShardPartitioning partitioning,
-                                       const std::vector<ObjectExtent>& extents) {
-  const int k = std::max(1, num_shards);
-  if (k == 1) return {domain};  // same K=1 contract as the blind overload
-  if (partitioning != ShardPartitioning::kMedian || extents.empty()) {
-    return PartitionDomain(domain, k, partitioning);
-  }
-  std::vector<uint32_t> ids(extents.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  std::vector<geom::Box> boxes;
-  boxes.reserve(static_cast<size_t>(k));
-  MedianSplit(domain, k, extents, ids, &boxes);
+  boxes.reserve(static_cast<size_t>(std::max(1, num_shards)));
+  MedianSplit(domain, num_shards, extents, &boxes);
   return boxes;
 }
 
 namespace {
 
-/// Derives the per-object partitioning extents (see ObjectExtent) from the
-/// stage-1 candidate lists, in id order — deterministic for a fixed
-/// dataset, so the median cuts are too.
-std::vector<ObjectExtent> PredictObjectExtents(
+/// Derives the per-object partitioning extents from the stage-1 candidate
+/// lists, in id order: a box around each center reaching as far as the
+/// object's UV-cell is predicted to, clamped to the domain. A
+/// load-prediction heuristic only: shard registration uses the exact
+/// conservative core::UvCellMayOverlap test, so partition quality never
+/// affects correctness. Deterministic for a fixed dataset, so the median
+/// cuts are too.
+std::vector<geom::Box> PredictCellExtents(
     const std::vector<uncertain::UncertainObject>& objects,
     const std::vector<std::vector<geom::Circle>>& cell_regions,
     const geom::Box& domain) {
-  std::vector<ObjectExtent> extents;
+  std::vector<geom::Box> extents;
   extents.reserve(objects.size());
   for (size_t i = 0; i < objects.size(); ++i) {
     const geom::Point c = objects[i].center();
@@ -290,7 +168,7 @@ std::vector<ObjectExtent> PredictObjectExtents(
     bounds.lo.y = std::max(bounds.lo.y, domain.lo.y);
     bounds.hi.x = std::min(bounds.hi.x, domain.hi.x);
     bounds.hi.y = std::min(bounds.hi.y, domain.hi.y);
-    extents.push_back({c, bounds});
+    extents.push_back(bounds);
   }
   return extents;
 }
@@ -366,15 +244,14 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
     index_ids[i].clear();
     index_ids[i].shrink_to_fit();
   }
-  // Partitioning extents ride the same stage-1 output (no extra pass) and
-  // are retained for RebalanceAdvisor re-cut proposals.
-  d.extents_ = PredictObjectExtents(d.objects_, cell_regions, domain);
+  // Median cuts over extents that ride the same stage-1 output (no extra
+  // pass); the extents are freed once the boxes exist.
+  const std::vector<geom::Box> boxes = PartitionDomain(
+      domain, d.options_.num_shards, PredictCellExtents(d.objects_, cell_regions, domain));
 
   // Stage 2, K ways: register + bulk-load + insert + finalize one shard.
   // Shards share only the read-only dataset and stage-1 output; storage,
   // index and Stats are private per shard, so the builds are independent.
-  const std::vector<geom::Box> boxes = PartitionDomain(
-      domain, d.options_.num_shards, d.options_.partitioning, d.extents_);
   d.shards_.resize(boxes.size());
   std::vector<Status> shard_status(boxes.size());
 

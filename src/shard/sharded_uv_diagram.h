@@ -46,18 +46,15 @@
 // are never dropped. Every point of the closed domain is owned by exactly
 // one shard: no drops, no double-answers.
 //
-// Shard boxes come from PartitionDomain in one of three modes: the
-// count-blind kGrid / kBisection geometric cuts, or kMedian — a k-d-style
+// Shard boxes are extent-median cuts (PartitionDomain): a k-d-style
 // recursive partitioner that splits the longest axis at the object-count
-// median, weighted by each object's predicted UV-cell extent (ObjectExtent,
-// derived from the same stage-1 output) so border replicas are anticipated
-// when choosing cuts. Skewed datasets (the Fig. 7(g) Gaussian clouds) that
-// leave hot shards under geometric cuts balance to near-uniform per-shard
-// load under kMedian; BalanceReport() measures the result either way, and
-// RebalanceAdvisor (rebalance_advisor.h) turns a report into a concrete
-// re-cut proposal. Because only the boxes change — replication and the
-// half-open ownership rule are partitioning-agnostic — PNN/answer-id
-// results stay bitwise-identical to the unsharded build in every mode.
+// median, counting each object by the box its UV-cell is predicted to reach
+// (derived from the same stage-1 output), so border replicas are
+// anticipated when choosing cuts. Skewed datasets (the Fig. 7(g) Gaussian
+// clouds) balance to near-uniform per-shard load, and BalanceReport()
+// measures the result. Because only the boxes depend on the data —
+// replication and the half-open ownership rule do not — PNN/answer-id
+// results stay bitwise-identical to the unsharded build for any cuts.
 //
 // See docs/ARCHITECTURE.md for the subsystem map, the determinism
 // guarantees table and the sharded query data flow.
@@ -84,50 +81,20 @@
 namespace uvd {
 namespace shard {
 
-/// How the domain is cut into shard boxes.
+/// The shard partitioner. One value: shard boxes are always extent-median
+/// cuts (PartitionDomain). The enum and ShardedUVDiagramOptions::partitioning
+/// stay only so e2ebench/bench_e2e.cc, which assigns the field, keeps
+/// compiling; no code reads either. The next change to the benchmark
+/// deletes that assignment, the field and this enum.
 enum class ShardPartitioning {
-  /// rows x cols grid, rows * cols == num_shards with the factor pair
-  /// closest to square (a prime count degenerates to strips).
-  kGrid,
-  /// Recursive longest-axis bisection; shard counts need not be composite
-  /// or powers of two (an odd count splits ceil/floor).
-  kBisection,
-  /// Data-adaptive k-d cuts: recursive longest-axis splits at the
-  /// object-count median, weighted by predicted UV-cell extents so an
-  /// object straddling a candidate cut is counted toward BOTH sides (the
-  /// replica the cut would create). Requires the ObjectExtent overload of
-  /// PartitionDomain (ShardedUVDiagram::Build supplies it from stage 1);
-  /// the data-blind overload degrades to kBisection.
   kMedian,
-};
-
-/// Per-object input to the data-aware partitioner: the center plus a
-/// conservative-in-spirit bounding box of where the object's UV-cell (and
-/// hence border replication) is predicted to reach. ShardedUVDiagram::Build
-/// derives it from the stage-1 candidate lists: the cell's reach toward its
-/// nearest constraining cr-object is (dist + r_i + r_j) / 2 — where that
-/// neighbor's UV-edge crosses the inter-center segment — applied
-/// symmetrically and clamped to the domain. A load-prediction heuristic
-/// only: shard registration still uses the exact conservative
-/// core::UvCellMayOverlap test, so partition quality never affects
-/// correctness.
-struct ObjectExtent {
-  geom::Point center;
-  geom::Box bounds;
-  /// Load weight of this object in the kMedian cut objective. 1.0 (the
-  /// build-time default) balances registration COUNTS; RebalanceAdvisor's
-  /// query-aware overload scales weights by the observed per-shard query
-  /// share ((1 - lambda) + lambda * query_share / object_share of the
-  /// shard owning `center`), so the proposed cuts balance queries per
-  /// second instead of object counts. Weights never affect correctness —
-  /// registration stays with UvCellMayOverlap.
-  double weight = 1.0;
 };
 
 struct ShardedUVDiagramOptions {
   /// K: number of sub-domain indexes. 1 degenerates to an unsharded build.
   int num_shards = 4;
-  ShardPartitioning partitioning = ShardPartitioning::kGrid;
+  /// Read by nothing (see ShardPartitioning).
+  ShardPartitioning partitioning = ShardPartitioning::kMedian;
   /// Per-shard build/query configuration. `method` and `cr` drive the
   /// global stage 1 as in an unsharded build; `build_threads` drives both
   /// the stage-1 fan-out and the parallel shard builds; `index`,
@@ -160,9 +127,8 @@ class ShardedUVDiagram {
   /// 0's manifest). Objects are merged back from the shard stores (border
   /// replicas re-read identically), every shard's UV-index is
   /// deserialized, and `options.diagram` pool/qualification knobs apply to
-  /// serving. object_extents() is empty after a reopen (it is a build-time
-  /// artifact). Damaged files surface the storage layer's typed errors;
-  /// an unsharded UVDiagram file yields InvalidArgument.
+  /// serving. Damaged files surface the storage layer's typed errors; an
+  /// unsharded UVDiagram file yields InvalidArgument.
   static Result<ShardedUVDiagram> Open(const std::string& path_prefix,
                                        const ShardedUVDiagramOptions& options = {},
                                        Stats* stats = nullptr);
@@ -192,11 +158,6 @@ class ShardedUVDiagram {
   const std::vector<uncertain::UncertainObject>& objects() const { return objects_; }
   const ShardedUVDiagramOptions& options() const { return options_; }
 
-  /// Per-object partitioning extents derived from the stage-1 pass (one
-  /// entry per object, id order). Kept after the build so RebalanceAdvisor
-  /// can propose data-aware re-cuts without re-running stage 1.
-  const std::vector<ObjectExtent>& object_extents() const { return extents_; }
-
   /// The shard owning `p` exclusively: half-open [min, max) ownership at
   /// interior cut lines (upper/right shard wins), clamped to the max-edge
   /// shard on the domain's own max boundary. Points outside the closed
@@ -220,9 +181,8 @@ class ShardedUVDiagram {
   /// every shard's private Stats — the whole deployment's counters.
   Stats AggregateStats() const;
 
-  /// Per-shard load summary (ROADMAP data-adaptive-shards precursor):
-  /// count-blind grid/bisection cuts leave skewed datasets (Fig. 7(g)
-  /// clouds) with hot shards, and this is the report that shows them.
+  /// Per-shard load summary: how evenly the median cuts spread objects,
+  /// border replicas and leaves over the shards.
   struct ShardBalance {
     int shard = 0;
     size_t objects = 0;   ///< Registered here (border replicas included).
@@ -256,37 +216,25 @@ class ShardedUVDiagram {
   Stats* stats_ = nullptr;  // external or owned_stats_.get(); global phases
   std::unique_ptr<Stats> owned_stats_;
   std::vector<Shard> shards_;
-  std::vector<ObjectExtent> extents_;
   core::BuildStats build_stats_;
 };
 
-/// Partitions `domain` into exactly `num_shards` boxes that tile it with
-/// bitwise-shared cut coordinates (adjacent boxes reuse the same double for
-/// their common edge, so half-open ownership tests are exact). Exposed for
-/// tests and tooling. `num_shards <= 1` returns the closed domain box
-/// itself, with no cut computation. kMedian needs object data and degrades
-/// to kBisection here — use the ObjectExtent overload below for real
-/// median cuts.
+/// Partitions `domain` into exactly `num_shards` boxes by recursive
+/// longest-axis cuts at the median of `extents`, one box per object giving
+/// where its UV-cell is predicted to reach (ShardedUVDiagram::Build derives
+/// them from stage 1). At every split of k shards into ceil/floor halves
+/// (kl, kr), the cut c minimizing max(n_lower(c)/kl, n_upper(c)/kr) is
+/// chosen, where n_lower/n_upper count the extents touching that side — a
+/// straddler counts toward both, anticipating the border replica the cut
+/// creates. Candidate cuts are every distinct extent endpoint and the
+/// midpoints between consecutive endpoints (the only places the counts
+/// change); ties break toward the geometric proportional cut, then toward
+/// the smaller coordinate, so cuts are deterministic for a fixed dataset.
+/// With no extents every cut is the geometric one. Adjacent boxes share the
+/// exact double of their common edge, so half-open ownership tests are
+/// exact. `num_shards <= 1` returns the closed domain box itself.
 std::vector<geom::Box> PartitionDomain(const geom::Box& domain, int num_shards,
-                                       ShardPartitioning partitioning);
-
-/// Data-aware overload: for kMedian, recursive longest-axis cuts at the
-/// extent-weighted object-count median. At every split of k shards into
-/// ceil/floor halves (kl, kr), the cut c minimizing
-/// max(w_lower(c)/kl, w_upper(c)/kr) is chosen, where w_lower/w_upper sum
-/// ObjectExtent::weight over the objects whose extent box touches that
-/// side — a straddler counts toward both, anticipating the border replica
-/// the cut creates, and uniform weights reduce the sums to the original
-/// object counts.
-/// Candidate cuts are every distinct extent endpoint and the midpoints
-/// between consecutive endpoints (the only places the counts change); ties
-/// break toward the geometric proportional cut, then toward the smaller
-/// coordinate, so cuts are deterministic for a fixed dataset. Grid and
-/// bisection ignore `extents`; an empty `extents` degrades kMedian to
-/// kBisection. `num_shards <= 1` returns the closed domain box unchanged.
-std::vector<geom::Box> PartitionDomain(const geom::Box& domain, int num_shards,
-                                       ShardPartitioning partitioning,
-                                       const std::vector<ObjectExtent>& extents);
+                                       const std::vector<geom::Box>& extents);
 
 }  // namespace shard
 }  // namespace uvd

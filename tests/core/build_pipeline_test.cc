@@ -170,6 +170,15 @@ TEST(BuildPipelineTest, Stage2PhaseSplitFitsInsideStage2Wall) {
             phases["build/stage1_worker"].total_ns);
 }
 
+TEST(BuildPipelineTest, WorkerCountCappedAtObjectCount) {
+  UVD_SKIP_WITHOUT_TRACING();
+  // Three objects on eight build threads: one stage-1 worker per object,
+  // not eight idle ones.
+  test::PhaseTrace trace;
+  BuildDiagram(BuildMethod::kIC, 8, 3, 61);
+  EXPECT_EQ(trace.Totals()["build/stage1_worker"].count, 3u);
+}
+
 TEST(BuildPipelineTest, InsertionErrorAbortsCleanly) {
   // An object whose center lies outside the *index* domain makes stage-2
   // insertion fail; the pipeline must propagate the error and shut its

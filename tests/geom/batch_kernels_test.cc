@@ -13,10 +13,8 @@
 
 #include "common/random.h"
 #include "core/uv_edge.h"
-#include "geom/batch/hyperbola_batch.h"
 #include "geom/box.h"
 #include "geom/envelope.h"
-#include "geom/hyperbola.h"
 
 namespace uvd {
 namespace geom {
@@ -183,48 +181,6 @@ TEST(ConstraintPrefilterTest, SkippedInsertionsAreProvablyNoOps) {
     EXPECT_FALSE(copy.Insert(RadialConstraint::ForObjects(
         anchor, far[j], 1000 + static_cast<int>(j))))
         << j;
-  }
-}
-
-TEST(HyperbolaBatchTest, MatchesScalarHyperbolaBitwise) {
-  Rng rng(91);
-  HyperbolaBatch hb;
-  std::vector<Hyperbola> scalar;
-  // Build a batch of valid (non-overlapping) conic pairs.
-  while (scalar.size() < 17) {
-    const Circle oi{{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)},
-                    rng.Uniform(0.1, 2.0)};
-    const Circle oj{{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)},
-                    rng.Uniform(0.1, 2.0)};
-    auto h = Hyperbola::FromObjects(oi, oj);
-    if (!h.ok()) continue;
-    scalar.push_back(std::move(h).ValueOrDie());
-    hb.Add(scalar.back());
-  }
-  ASSERT_EQ(hb.size(), scalar.size());
-
-  std::vector<double> xs, ys;
-  for (int k = 0; k < 100; ++k) {
-    xs.push_back(rng.Uniform(-50.0, 150.0));
-    ys.push_back(rng.Uniform(-50.0, 150.0));
-  }
-  // One point vs all conics.
-  std::vector<uint8_t> mask(hb.size());
-  for (size_t p = 0; p < xs.size(); ++p) {
-    const Point pt{xs[p], ys[p]};
-    hb.InOutsideRegionAll(pt, mask.data());
-    for (size_t i = 0; i < scalar.size(); ++i) {
-      ASSERT_EQ(mask[i] != 0, scalar[i].InOutsideRegion(pt)) << p << "," << i;
-    }
-  }
-  // One conic vs many points.
-  std::vector<uint8_t> out(xs.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    hb.InOutsideRegionMany(i, xs.data(), ys.data(), xs.size(), out.data());
-    for (size_t p = 0; p < xs.size(); ++p) {
-      ASSERT_EQ(out[p] != 0, scalar[i].InOutsideRegion({xs[p], ys[p]}))
-          << i << "," << p;
-    }
   }
 }
 

@@ -185,6 +185,37 @@ TEST(ObsDeterminismTest, ShardedAnswersIdenticalAcrossObsToggle) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
+TEST(ObsDeterminismTest, RoutedLatencyHasOneSamplePerRoutedQuery) {
+  // Each query a shard answers is one routed-latency sample (multi-shard
+  // kinds once per target shard), so every shard's histogram count equals
+  // its routed-query counter, not its number of sub-batches.
+  ObsStateGuard guard;
+  obs::SetMetricsEnabled(true);
+  datagen::DatasetOptions data;
+  data.count = 400;
+  data.seed = 33;
+  const geom::Box domain = datagen::DomainFor(data);
+  shard::ShardedUVDiagramOptions options;
+  options.num_shards = 4;
+  const auto sharded =
+      shard::ShardedUVDiagram::Build(datagen::GenerateUniform(data), domain, options)
+          .ValueOrDie();
+  shard::ShardRouter router(sharded);
+
+  query::QueryBatch batch = MixedBatch(domain);
+  batch.push_back(query::Query::AnswerIds(domain.Center()));
+  batch.push_back(query::Query::CellSummary(17));
+  for (int round = 0; round < 2; ++round) (void)router.ExecuteBatch(batch);
+
+  uint64_t routed = 0;
+  for (size_t s = 0; s < router.num_shards(); ++s) {
+    EXPECT_EQ(router.shard_latency(s).TotalCount(), router.routed_queries(s)) << s;
+    routed += router.routed_queries(s);
+  }
+  // The whole-domain range query fanned out to every shard.
+  EXPECT_GT(routed, 2 * batch.size());
+}
+
 TEST(ObsDeterminismTest, MetricsToggleMidStreamIsSafe) {
   // Toggling while batches run concurrently must stay race-free (TSan) and
   // keep answers stable; counts are simply whatever the sampled-at-batch-

@@ -1,17 +1,18 @@
-// Data-adaptive shard partitioning (ShardPartitioning::kMedian) and its
-// RebalanceAdvisor loop, mirroring tests/core/stage2_partition_test.cc's
-// determinism contract on the sharding axis: PNN/answer-id digests must be
-// bitwise-identical to the unsharded baseline for every partitioning mode
-// {grid, bisection, median} and K in {1, 4, 7} on uniform AND clustered
+// The shard partitioner (PartitionDomain's extent-median cuts), mirroring
+// tests/core/stage2_partition_test.cc's determinism contract on the
+// sharding axis: PNN/answer-id digests must be bitwise-identical to the
+// unsharded baseline for K in {1, 4, 7} on uniform AND clustered
 // (Fig. 7(g)-style) datasets — only the shard boxes may differ. On skewed
 // data the median cuts must actually balance: per-shard object counts
-// within +-1 of the ideal share for point extents, and the K = 8 clustered
-// acceptance bound (median max/mean <= 1.25 where grid exceeds 2x).
-// PartitionDomain's K = 1 contract — the closed global domain box, no cut
-// computation — is pinned for all modes and both overloads.
+// within +-1 of the ideal share for point extents, and max/mean <= 1.25 on
+// a clustered set at K = 8. The cuts of a seeded uniform set and a seeded
+// sigma-2500 cloud are pinned bit for bit, and PartitionDomain's K = 1
+// contract — the closed global domain box, no cut computation — with and
+// without extents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "datagen/generators.h"
 #include "query/query_engine.h"
 #include "query/result_digest.h"
-#include "shard/rebalance_advisor.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_uv_diagram.h"
 
@@ -47,10 +47,9 @@ std::vector<uncertain::UncertainObject> MakeObjects(bool clustered, size_t n,
 geom::Box Domain() { return geom::Box({0, 0}, {kDomainSize, kDomainSize}); }
 
 ShardedUVDiagram BuildSharded(const std::vector<uncertain::UncertainObject>& objects,
-                              int num_shards, ShardPartitioning partitioning) {
+                              int num_shards) {
   ShardedUVDiagramOptions options;
   options.num_shards = num_shards;
-  options.partitioning = partitioning;
   return ShardedUVDiagram::Build(objects, Domain(), options).ValueOrDie();
 }
 
@@ -88,28 +87,20 @@ query::QueryBatch ProbeBatch(const ShardedUVDiagram& sharded, uint64_t seed) {
   return batch;
 }
 
-TEST(MedianPartitionTest, SingleShardIsClosedDomainBoxForEveryMode) {
+TEST(MedianPartitionTest, SingleShardIsClosedDomainBoxWithAndWithoutExtents) {
   const geom::Box domain = Domain();
-  std::vector<ObjectExtent> extents = {
-      {{10, 10}, geom::Box({0, 0}, {20, 20})},
-      {{400, 900}, geom::Box({350, 850}, {450, 950})},
-  };
-  for (const auto partitioning :
-       {ShardPartitioning::kGrid, ShardPartitioning::kBisection,
-        ShardPartitioning::kMedian}) {
-    for (const int k : {1, 0, -3}) {  // non-positive clamps to 1
-      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(partitioning)) +
-                   " k=" + std::to_string(k));
-      for (const auto& boxes :
-           {PartitionDomain(domain, k, partitioning),
-            PartitionDomain(domain, k, partitioning, extents)}) {
-        ASSERT_EQ(boxes.size(), 1u);
-        // Bitwise the closed domain box: no half-open max-edge cut box.
-        EXPECT_EQ(boxes[0].lo.x, domain.lo.x);
-        EXPECT_EQ(boxes[0].lo.y, domain.lo.y);
-        EXPECT_EQ(boxes[0].hi.x, domain.hi.x);
-        EXPECT_EQ(boxes[0].hi.y, domain.hi.y);
-      }
+  const std::vector<geom::Box> extents = {geom::Box({0, 0}, {20, 20}),
+                                          geom::Box({350, 850}, {450, 950})};
+  for (const int k : {1, 0, -3}) {  // non-positive clamps to 1
+    SCOPED_TRACE("k=" + std::to_string(k));
+    for (const auto& boxes :
+         {PartitionDomain(domain, k, {}), PartitionDomain(domain, k, extents)}) {
+      ASSERT_EQ(boxes.size(), 1u);
+      // Bitwise the closed domain box: no half-open max-edge cut box.
+      EXPECT_EQ(boxes[0].lo.x, domain.lo.x);
+      EXPECT_EQ(boxes[0].lo.y, domain.lo.y);
+      EXPECT_EQ(boxes[0].hi.x, domain.hi.x);
+      EXPECT_EQ(boxes[0].hi.y, domain.hi.y);
     }
   }
 }
@@ -117,16 +108,15 @@ TEST(MedianPartitionTest, SingleShardIsClosedDomainBoxForEveryMode) {
 TEST(MedianPartitionTest, MedianPartitionTilesDomainExactly) {
   const geom::Box domain = Domain();
   Rng rng(7);
-  std::vector<ObjectExtent> extents;
+  std::vector<geom::Box> extents;
   for (int i = 0; i < 500; ++i) {
     const geom::Point c{rng.Uniform(0.0, kDomainSize), rng.Uniform(0.0, kDomainSize)};
     const double half = rng.Uniform(0.0, 120.0);
-    extents.push_back({c, geom::Box({c.x - half, c.y - half},
-                                    {c.x + half, c.y + half})});
+    extents.emplace_back(geom::Point{c.x - half, c.y - half},
+                         geom::Point{c.x + half, c.y + half});
   }
   for (const int k : {2, 3, 5, 7, 8, 9, 12, 16}) {
-    const auto boxes =
-        PartitionDomain(domain, k, ShardPartitioning::kMedian, extents);
+    const auto boxes = PartitionDomain(domain, k, extents);
     ASSERT_EQ(boxes.size(), static_cast<size_t>(k));
     double area = 0.0;
     for (const auto& b : boxes) {
@@ -148,14 +138,11 @@ TEST(MedianPartitionTest, MedianCutsBoundCountsWithinOneOfIdealOnSkewedCloud) {
   opts.count = n;
   opts.seed = 17;
   const auto objects = datagen::GenerateClusters(opts, SkewSpec(350.0));
-  std::vector<ObjectExtent> extents;
+  std::vector<geom::Box> extents;
   extents.reserve(n);
-  for (const auto& o : objects) {
-    extents.push_back({o.center(), geom::Box(o.center(), o.center())});
-  }
+  for (const auto& o : objects) extents.emplace_back(o.center(), o.center());
   for (const int k : {4, 8}) {
-    const auto boxes =
-        PartitionDomain(Domain(), k, ShardPartitioning::kMedian, extents);
+    const auto boxes = PartitionDomain(Domain(), k, extents);
     ASSERT_EQ(boxes.size(), static_cast<size_t>(k));
     const double ideal = static_cast<double>(n) / k;
     size_t total = 0;
@@ -174,7 +161,7 @@ TEST(MedianPartitionTest, MedianCutsBoundCountsWithinOneOfIdealOnSkewedCloud) {
   }
 }
 
-TEST(MedianPartitionTest, DigestsIdenticalAcrossModesAndShardCounts) {
+TEST(MedianPartitionTest, DigestsIdenticalAcrossShardCounts) {
   const size_t n = 500;
   for (const bool clustered : {false, true}) {
     SCOPED_TRACE(clustered ? "clustered" : "uniform");
@@ -182,116 +169,123 @@ TEST(MedianPartitionTest, DigestsIdenticalAcrossModesAndShardCounts) {
     const auto baseline = core::UVDiagram::Build(objects, Domain()).ValueOrDie();
     query::QueryEngine baseline_engine(baseline, {});
 
-    for (const auto partitioning :
-         {ShardPartitioning::kGrid, ShardPartitioning::kBisection,
-          ShardPartitioning::kMedian}) {
-      for (const int k : {1, 4, 7}) {
-        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(partitioning)) +
-                     " shards=" + std::to_string(k));
-        const auto sharded = BuildSharded(objects, k, partitioning);
-        ShardRouter router(sharded);
-        const query::QueryBatch batch = ProbeBatch(sharded, 23);
-        EXPECT_EQ(query::DigestPointAnswers(router.ExecuteBatch(batch)),
-                  query::DigestPointAnswers(baseline_engine.ExecuteBatch(batch)));
-      }
+    for (const int k : {1, 4, 7}) {
+      SCOPED_TRACE("shards=" + std::to_string(k));
+      const auto sharded = BuildSharded(objects, k);
+      ShardRouter router(sharded);
+      const query::QueryBatch batch = ProbeBatch(sharded, 23);
+      EXPECT_EQ(query::DigestPointAnswers(router.ExecuteBatch(batch)),
+                query::DigestPointAnswers(baseline_engine.ExecuteBatch(batch)));
     }
   }
 }
 
-TEST(MedianPartitionTest, MedianBalancesClusteredCloudAtK8AndAdvisorClosesLoop) {
-  // The acceptance bound: on a clustered dataset at K = 8, count-blind grid
-  // cuts leave a hot shard past 2x the mean while median cuts stay within
-  // 1.25x — and the advisor both predicts and (via rebuild) delivers it,
-  // with answers bitwise-identical to the unsharded baseline throughout.
+TEST(MedianPartitionTest, MedianBalancesClusteredCloudAtK8) {
+  // The balance bound: on a 10:1 clustered dataset at K = 8 the median
+  // cuts stay within 1.25x of the mean, with answers bitwise-identical to
+  // the unsharded baseline, cut-line probes included.
   const size_t n = 800;
   const auto objects = MakeObjects(/*clustered=*/true, n, 19);
   const auto baseline = core::UVDiagram::Build(objects, Domain()).ValueOrDie();
   query::QueryEngine baseline_engine(baseline, {});
 
-  const auto grid = BuildSharded(objects, 8, ShardPartitioning::kGrid);
-  const double grid_imbalance = ObjectImbalance(grid);
-  EXPECT_GT(grid_imbalance, 2.0);
+  const auto median = BuildSharded(objects, 8);
+  ASSERT_EQ(median.num_shards(), 8u);
+  EXPECT_LE(ObjectImbalance(median), 1.25);
 
-  const RebalanceAdvice advice = RebalanceAdvisor::Advise(grid);
-  EXPECT_DOUBLE_EQ(advice.current_imbalance, grid_imbalance);
-  EXPECT_TRUE(advice.rebalance_recommended);
-  EXPECT_LT(advice.predicted_imbalance, advice.current_imbalance);
-  ASSERT_EQ(advice.proposed_boxes.size(), 8u);
-  ASSERT_EQ(advice.predicted_objects.size(), 8u);
-  EXPECT_FALSE(advice.ToString().empty());
-
-  auto rebalanced_result = RebalanceAdvisor::ApplyRebalance(grid);
-  ASSERT_TRUE(rebalanced_result.ok()) << rebalanced_result.status().ToString();
-  const ShardedUVDiagram rebalanced = std::move(rebalanced_result).ValueOrDie();
-  ASSERT_EQ(rebalanced.num_shards(), 8u);
-  EXPECT_EQ(rebalanced.options().partitioning, ShardPartitioning::kMedian);
-  const double median_imbalance = ObjectImbalance(rebalanced);
-  EXPECT_LE(median_imbalance, 1.25);
-  EXPECT_LT(median_imbalance, grid_imbalance);
-
-  // A healthy deployment does not get a rebuild recommendation.
-  EXPECT_FALSE(RebalanceAdvisor::Advise(rebalanced).rebalance_recommended);
-
-  // Same answers from the skewed grid, the rebalanced median deployment
-  // and the unsharded baseline — cut-line probes of both box sets included.
-  ShardRouter grid_router(grid);
-  ShardRouter median_router(rebalanced);
-  for (const auto* source : {&grid, &rebalanced}) {
-    const query::QueryBatch batch = ProbeBatch(*source, 29);
-    const uint64_t expected =
-        query::DigestPointAnswers(baseline_engine.ExecuteBatch(batch));
-    EXPECT_EQ(query::DigestPointAnswers(grid_router.ExecuteBatch(batch)), expected);
-    EXPECT_EQ(query::DigestPointAnswers(median_router.ExecuteBatch(batch)), expected);
-  }
+  ShardRouter router(median);
+  const query::QueryBatch batch = ProbeBatch(median, 29);
+  EXPECT_EQ(query::DigestPointAnswers(router.ExecuteBatch(batch)),
+            query::DigestPointAnswers(baseline_engine.ExecuteBatch(batch)));
 }
 
-bool SameBoxes(const std::vector<geom::Box>& a, const std::vector<geom::Box>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].lo.x != b[i].lo.x || a[i].lo.y != b[i].lo.y ||
-        a[i].hi.x != b[i].hi.x || a[i].hi.y != b[i].hi.y) {
-      return false;
+/// One shard box of a golden cut set, tagged with the shard count K.
+struct GoldenBox {
+  int k;
+  double lo_x, lo_y, hi_x, hi_y;
+};
+
+// The shard boxes ShardedUVDiagram::Build cuts for 600 objects, as hex
+// floats. Every cut is a count comparison over extent endpoints, so any
+// change to the extent prediction or the cut search that moves a shard
+// boundary (and with it the shard files' bytes) shows here.
+const GoldenBox kUniformCuts[] = {
+    {2, 0x0p+0, 0x0p+0, 0x1.37603e3b636c4p+12, 0x1.388p+13},
+    {2, 0x1.37603e3b636c4p+12, 0x0p+0, 0x1.388p+13, 0x1.388p+13},
+    {3, 0x0p+0, 0x0p+0, 0x1.ab8b625c23e09p+12, 0x1.4c25ce8a93d3cp+12},
+    {3, 0x0p+0, 0x1.4c25ce8a93d3cp+12, 0x1.ab8b625c23e09p+12, 0x1.388p+13},
+    {3, 0x1.ab8b625c23e09p+12, 0x0p+0, 0x1.388p+13, 0x1.388p+13},
+    {4, 0x0p+0, 0x0p+0, 0x1.37603e3b636c4p+12, 0x1.514d02f6d39cfp+12},
+    {4, 0x0p+0, 0x1.514d02f6d39cfp+12, 0x1.37603e3b636c4p+12, 0x1.388p+13},
+    {4, 0x1.37603e3b636c4p+12, 0x0p+0, 0x1.388p+13, 0x1.58223493ec824p+12},
+    {4, 0x1.37603e3b636c4p+12, 0x1.58223493ec824p+12, 0x1.388p+13, 0x1.388p+13},
+    {5, 0x0p+0, 0x0p+0, 0x1.78f4970b6e129p+12, 0x1.d8a6c4afac4f6p+11},
+    {5, 0x0p+0, 0x1.d8a6c4afac4f6p+11, 0x1.78f4970b6e129p+12, 0x1.b52e2bffde7b8p+12},
+    {5, 0x0p+0, 0x1.b52e2bffde7b8p+12, 0x1.78f4970b6e129p+12, 0x1.388p+13},
+    {5, 0x1.78f4970b6e129p+12, 0x0p+0, 0x1.388p+13, 0x1.58223493ec824p+12},
+    {5, 0x1.78f4970b6e129p+12, 0x1.58223493ec824p+12, 0x1.388p+13, 0x1.388p+13},
+    {8, 0x0p+0, 0x0p+0, 0x1.37603e3b636c4p+12, 0x1.5f3063e654a14p+11},
+    {8, 0x0p+0, 0x1.5f3063e654a14p+11, 0x1.37603e3b636c4p+12, 0x1.514d02f6d39cfp+12},
+    {8, 0x0p+0, 0x1.514d02f6d39cfp+12, 0x1.5b911ac70ce27p+11, 0x1.388p+13},
+    {8, 0x1.5b911ac70ce27p+11, 0x1.514d02f6d39cfp+12, 0x1.37603e3b636c4p+12, 0x1.388p+13},
+    {8, 0x1.37603e3b636c4p+12, 0x0p+0, 0x1.388p+13, 0x1.5caf51a66f7bcp+11},
+    {8, 0x1.37603e3b636c4p+12, 0x1.5caf51a66f7bcp+11, 0x1.388p+13, 0x1.58223493ec824p+12},
+    {8, 0x1.37603e3b636c4p+12, 0x1.58223493ec824p+12, 0x1.d4f4c086e9f6cp+12, 0x1.388p+13},
+    {8, 0x1.d4f4c086e9f6cp+12, 0x1.58223493ec824p+12, 0x1.388p+13, 0x1.388p+13},
+};
+const GoldenBox kCloudCuts[] = {
+    {2, 0x0p+0, 0x0p+0, 0x1.2df5735a7d642p+12, 0x1.388p+13},
+    {2, 0x1.2df5735a7d642p+12, 0x0p+0, 0x1.388p+13, 0x1.388p+13},
+    {3, 0x0p+0, 0x0p+0, 0x1.71de3f34dd3f6p+12, 0x1.37a34b799f572p+12},
+    {3, 0x0p+0, 0x1.37a34b799f572p+12, 0x1.71de3f34dd3f6p+12, 0x1.388p+13},
+    {3, 0x1.71de3f34dd3f6p+12, 0x0p+0, 0x1.388p+13, 0x1.388p+13},
+    {4, 0x0p+0, 0x0p+0, 0x1.2df5735a7d642p+12, 0x1.38d3471c50fc2p+12},
+    {4, 0x0p+0, 0x1.38d3471c50fc2p+12, 0x1.2df5735a7d642p+12, 0x1.388p+13},
+    {4, 0x1.2df5735a7d642p+12, 0x0p+0, 0x1.388p+13, 0x1.39efe97cc0054p+12},
+    {4, 0x1.2df5735a7d642p+12, 0x1.39efe97cc0054p+12, 0x1.388p+13, 0x1.388p+13},
+    {5, 0x0p+0, 0x0p+0, 0x1.52cca41c53b28p+12, 0x1.e8cbeeb77ee04p+11},
+    {5, 0x0p+0, 0x1.e8cbeeb77ee04p+11, 0x1.52cca41c53b28p+12, 0x1.7829843ec3864p+12},
+    {5, 0x0p+0, 0x1.7829843ec3864p+12, 0x1.52cca41c53b28p+12, 0x1.388p+13},
+    {5, 0x1.52cca41c53b28p+12, 0x0p+0, 0x1.388p+13, 0x1.351e72e5865a7p+12},
+    {5, 0x1.52cca41c53b28p+12, 0x1.351e72e5865a7p+12, 0x1.388p+13, 0x1.388p+13},
+    {8, 0x0p+0, 0x0p+0, 0x1.2df5735a7d642p+12, 0x1.a48c59ff435eap+11},
+    {8, 0x0p+0, 0x1.a48c59ff435eap+11, 0x1.2df5735a7d642p+12, 0x1.38d3471c50fc2p+12},
+    {8, 0x0p+0, 0x1.38d3471c50fc2p+12, 0x1.2df5735a7d642p+12, 0x1.9a690fbd0e05ap+12},
+    {8, 0x0p+0, 0x1.9a690fbd0e05ap+12, 0x1.2df5735a7d642p+12, 0x1.388p+13},
+    {8, 0x1.2df5735a7d642p+12, 0x0p+0, 0x1.908e9848326e7p+12, 0x1.39efe97cc0054p+12},
+    {8, 0x1.908e9848326e7p+12, 0x0p+0, 0x1.388p+13, 0x1.39efe97cc0054p+12},
+    {8, 0x1.2df5735a7d642p+12, 0x1.39efe97cc0054p+12, 0x1.925545dec904ep+12, 0x1.388p+13},
+    {8, 0x1.925545dec904ep+12, 0x1.39efe97cc0054p+12, 0x1.388p+13, 0x1.388p+13},
+};
+
+TEST(MedianPartitionTest, MedianCutsMatchGoldenBoxes) {
+  datagen::DatasetOptions opts;
+  opts.count = 600;
+  for (const bool cloud : {false, true}) {
+    SCOPED_TRACE(cloud ? "sigma-2500 cloud" : "uniform");
+    opts.seed = cloud ? 61 : 53;
+    const auto objects = cloud ? datagen::GenerateGaussianCloud(opts, 2500.0)
+                               : datagen::GenerateUniform(opts);
+    const GoldenBox* golden = cloud ? kCloudCuts : kUniformCuts;
+    for (const int k : {2, 3, 4, 5, 8}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      ShardedUVDiagramOptions options;
+      options.num_shards = k;
+      options.diagram.build_threads = 1;
+      const auto sharded =
+          ShardedUVDiagram::Build(objects, datagen::DomainFor(opts), options).ValueOrDie();
+      ASSERT_EQ(sharded.num_shards(), static_cast<size_t>(k));
+      for (size_t s = 0; s < sharded.num_shards(); ++s, ++golden) {
+        ASSERT_EQ(golden->k, k);
+        const geom::Box& box = sharded.shard(s).box;
+        EXPECT_EQ(box.lo.x, golden->lo_x) << "shard " << s;
+        EXPECT_EQ(box.lo.y, golden->lo_y) << "shard " << s;
+        EXPECT_EQ(box.hi.x, golden->hi_x) << "shard " << s;
+        EXPECT_EQ(box.hi.y, golden->hi_y) << "shard " << s;
+      }
     }
+    EXPECT_EQ(golden, cloud ? std::end(kCloudCuts) : std::end(kUniformCuts));
   }
-  return true;
-}
-
-TEST(MedianPartitionTest, QueryWeightedAdviseRespondsToSkewedTraffic) {
-  // Uniform data in a K = 4 grid: object counts are balanced, so the
-  // count-based advisor is content — but when observed traffic hammers one
-  // shard, the query-weighted overload must surface the imbalance in the
-  // weighted currency, move the proposed cuts, and recommend a rebuild.
-  const size_t n = 600;
-  const auto objects = MakeObjects(/*clustered=*/false, n, 23);
-  const auto grid = BuildSharded(objects, 4, ShardPartitioning::kGrid);
-  const RebalanceAdvice by_count = RebalanceAdvisor::Advise(grid);
-  EXPECT_FALSE(by_count.rebalance_recommended);
-
-  std::vector<uint64_t> routed(4, 1);
-  routed[0] = 97;  // ~97% of queries land on shard 0
-  const RebalanceAdvice by_queries = RebalanceAdvisor::Advise(grid, routed);
-  EXPECT_GT(by_queries.current_imbalance, 1.25);
-  EXPECT_LT(by_queries.predicted_imbalance, by_queries.current_imbalance);
-  EXPECT_TRUE(by_queries.rebalance_recommended);
-  ASSERT_EQ(by_queries.proposed_boxes.size(), 4u);
-  EXPECT_FALSE(SameBoxes(by_queries.proposed_boxes, by_count.proposed_boxes))
-      << "query weights did not move the median cuts";
-
-  // Determinism: the same observations produce the same advice.
-  const RebalanceAdvice again = RebalanceAdvisor::Advise(grid, routed);
-  EXPECT_TRUE(SameBoxes(again.proposed_boxes, by_queries.proposed_boxes));
-  EXPECT_DOUBLE_EQ(again.predicted_imbalance, by_queries.predicted_imbalance);
-
-  // Fallbacks reproduce the count-based advice exactly: lambda = 0 and
-  // no observed queries.
-  RebalanceAdvisorOptions lambda_off;
-  lambda_off.query_weight_lambda = 0.0;
-  const RebalanceAdvice no_lambda = RebalanceAdvisor::Advise(grid, routed, lambda_off);
-  EXPECT_TRUE(SameBoxes(no_lambda.proposed_boxes, by_count.proposed_boxes));
-  EXPECT_DOUBLE_EQ(no_lambda.current_imbalance, by_count.current_imbalance);
-  const RebalanceAdvice no_traffic =
-      RebalanceAdvisor::Advise(grid, std::vector<uint64_t>(4, 0));
-  EXPECT_TRUE(SameBoxes(no_traffic.proposed_boxes, by_count.proposed_boxes));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // shard cut lines and the domain boundary — the ShardRouter's PNN and
 // answer-id results must be BITWISE-identical (ids and probability bits,
 // compared by FNV hash and element-wise) to a single-index baseline, for
-// every shard count, partitioning scheme, and thread configuration.
+// every shard count and thread configuration.
 // UV-partition and cell-summary answers are index-structure reports, so
 // cross-deployment equality is semantic (exact range coverage, disjoint
 // per-shard leaf merges) rather than bitwise; within one deployment they
@@ -42,12 +42,10 @@ core::UVDiagram BuildBaseline(size_t n, uint64_t seed) {
       .ValueOrDie();
 }
 
-ShardedUVDiagram BuildSharded(size_t n, uint64_t seed, int num_shards,
-                              ShardPartitioning partitioning) {
+ShardedUVDiagram BuildSharded(size_t n, uint64_t seed, int num_shards) {
   const auto opts = DataOptions(n, seed);
   ShardedUVDiagramOptions options;
   options.num_shards = num_shards;
-  options.partitioning = partitioning;
   return ShardedUVDiagram::Build(datagen::GenerateUniform(opts),
                                  datagen::DomainFor(opts), options)
       .ValueOrDie();
@@ -105,11 +103,17 @@ query::QueryBatch PointBatch(const std::vector<geom::Point>& points) {
 }
 
 TEST(ShardedEquivalenceTest, PartitionDomainTilesExactly) {
+  // Without extents every cut is the geometric proportional one; with the
+  // object regions as extents the cuts follow the data.
+  const auto opts = DataOptions(300, 3);
+  std::vector<geom::Box> regions;
+  for (const auto& o : datagen::GenerateUniform(opts)) {
+    regions.push_back(o.region().Mbr());
+  }
   const geom::Box domain({0, 0}, {10000, 10000});
-  for (const auto partitioning :
-       {ShardPartitioning::kGrid, ShardPartitioning::kBisection}) {
+  for (const auto& extents : {std::vector<geom::Box>{}, regions}) {
     for (int k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16}) {
-      const auto boxes = PartitionDomain(domain, k, partitioning);
+      const auto boxes = PartitionDomain(domain, k, extents);
       ASSERT_EQ(boxes.size(), static_cast<size_t>(k));
       double area = 0;
       for (const auto& b : boxes) {
@@ -123,7 +127,7 @@ TEST(ShardedEquivalenceTest, PartitionDomainTilesExactly) {
 }
 
 TEST(ShardedEquivalenceTest, EveryDomainPointOwnedByExactlyOneShard) {
-  const auto diagram = BuildSharded(600, 3, 9, ShardPartitioning::kGrid);
+  const auto diagram = BuildSharded(600, 3, 9);
   Rng rng(17);
   std::vector<geom::Point> probes = CutLineProbes(diagram, 19);
   for (int i = 0; i < 200; ++i) {
@@ -149,7 +153,7 @@ TEST(ShardedEquivalenceTest, EveryDomainPointOwnedByExactlyOneShard) {
 }
 
 TEST(ShardedEquivalenceTest, BorderObjectsReplicatedToEveryTouchedShard) {
-  const auto diagram = BuildSharded(700, 5, 4, ShardPartitioning::kGrid);
+  const auto diagram = BuildSharded(700, 5, 4);
   size_t replicated = 0;
   for (const auto& o : diagram.objects()) {
     const auto shards = diagram.ShardsForObject(o.id());
@@ -179,26 +183,21 @@ TEST(ShardedEquivalenceTest, PointAnswersBitwiseIdenticalIncludingCutLines) {
     return o;
   }());
 
-  for (const auto partitioning :
-       {ShardPartitioning::kGrid, ShardPartitioning::kBisection}) {
-    for (int k : {1, 4, 5, 9}) {
-      const auto sharded = BuildSharded(n, seed, k, partitioning);
-      ShardRouter router(sharded);
+  for (int k : {1, 2, 3, 4, 5, 8, 9}) {
+    const auto sharded = BuildSharded(n, seed, k);
+    ShardRouter router(sharded);
 
-      std::vector<geom::Point> points = CutLineProbes(sharded, 23);
-      Rng rng(29);
-      for (int i = 0; i < 60; ++i) {
-        points.push_back({rng.Uniform(0, 10000), rng.Uniform(0, 10000)});
-      }
-      points.push_back({-50, 200});  // outside: InvalidArgument both ways
-
-      const query::QueryBatch batch = PointBatch(points);
-      SCOPED_TRACE("partitioning=" +
-                   std::to_string(static_cast<int>(partitioning)) +
-                   " shards=" + std::to_string(k));
-      ExpectPointAnswersIdentical(router.ExecuteBatch(batch),
-                                  baseline_engine.ExecuteBatch(batch));
+    std::vector<geom::Point> points = CutLineProbes(sharded, 23);
+    Rng rng(29);
+    for (int i = 0; i < 60; ++i) {
+      points.push_back({rng.Uniform(0, 10000), rng.Uniform(0, 10000)});
     }
+    points.push_back({-50, 200});  // outside: InvalidArgument both ways
+
+    const query::QueryBatch batch = PointBatch(points);
+    SCOPED_TRACE("shards=" + std::to_string(k));
+    ExpectPointAnswersIdentical(router.ExecuteBatch(batch),
+                                baseline_engine.ExecuteBatch(batch));
   }
 }
 
@@ -207,7 +206,7 @@ TEST(ShardedEquivalenceTest, TrajectoryWorkloadHashMatchesBaseline) {
   const uint64_t seed = 13;
   const core::UVDiagram baseline = BuildBaseline(n, seed);
   query::QueryEngine baseline_engine(baseline, {});
-  const auto sharded = BuildSharded(n, seed, 6, ShardPartitioning::kGrid);
+  const auto sharded = BuildSharded(n, seed, 6);
   ShardRouter router(sharded);
 
   const auto points =
@@ -223,7 +222,7 @@ TEST(ShardedEquivalenceTest, UvPartitionsCoverRangesExactly) {
   const size_t n = 900;
   const uint64_t seed = 7;
   const core::UVDiagram baseline = BuildBaseline(n, seed);
-  const auto sharded = BuildSharded(n, seed, 6, ShardPartitioning::kGrid);
+  const auto sharded = BuildSharded(n, seed, 6);
   ShardRouter router(sharded);
 
   const auto clipped_area = [](const std::vector<core::UvPartition>& parts,
@@ -272,7 +271,7 @@ TEST(ShardedEquivalenceTest, UvPartitionsCoverRangesExactly) {
 TEST(ShardedEquivalenceTest, CellSummariesMergeShardLeavesExactly) {
   const size_t n = 700;
   const uint64_t seed = 19;
-  const auto sharded = BuildSharded(n, seed, 4, ShardPartitioning::kGrid);
+  const auto sharded = BuildSharded(n, seed, 4);
   ShardRouter router(sharded);
 
   query::QueryBatch batch;
@@ -303,7 +302,7 @@ TEST(ShardedEquivalenceTest, CellSummariesMergeShardLeavesExactly) {
 TEST(ShardedEquivalenceTest, RouterDeterministicAcrossThreadConfigs) {
   const size_t n = 600;
   const uint64_t seed = 23;
-  const auto sharded = BuildSharded(n, seed, 5, ShardPartitioning::kBisection);
+  const auto sharded = BuildSharded(n, seed, 5);
 
   // A heterogeneous batch exercising all four kinds plus cut-line probes.
   Rng rng(41);
@@ -362,7 +361,7 @@ TEST(ShardedEquivalenceTest, RouterDeterministicAcrossThreadConfigs) {
 }
 
 TEST(ShardedEquivalenceTest, AggregateStatsMergeShardCounters) {
-  const auto sharded = BuildSharded(600, 29, 4, ShardPartitioning::kGrid);
+  const auto sharded = BuildSharded(600, 29, 4);
   ShardRouter router(sharded);
   const Stats before = sharded.AggregateStats();
 
