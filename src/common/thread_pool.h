@@ -1,9 +1,6 @@
-// Fixed-size worker pool shared by the parallel build pipeline and (by
-// design) every later concurrency feature: batched query execution,
-// sharded serving, background rebuilds. Deliberately minimal — Submit +
-// Wait over a FIFO task queue — so callers own their scheduling policy
-// (the build pipeline, for instance, submits one long-running loop per
-// worker and sequences results itself to stay deterministic).
+// The one executor: a fixed-size worker pool and RunWorkers, the only
+// fan-out over it. Each build and each serving front door owns one pool;
+// everything below the owner borrows it, nested fan-outs included.
 //
 // Lock discipline is compile-time checked: every guarded field carries
 // UVD_GUARDED_BY and the waits are explicit predicate loops over CondVar
@@ -11,6 +8,7 @@
 #ifndef UVD_COMMON_THREAD_POOL_H_
 #define UVD_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -25,9 +23,8 @@ namespace uvd {
 
 /// \brief FIFO task pool with a fixed number of worker threads.
 ///
-/// Tasks must not throw (the library is exception-free); a task that needs
-/// to report failure should capture a Status slot. Destruction waits for
-/// every submitted task to finish.
+/// Tasks must not throw (the library is exception-free). Destruction runs
+/// every submitted task, then joins the workers.
 class ThreadPool {
  public:
   /// std::thread::hardware_concurrency with a sane fallback.
@@ -36,10 +33,15 @@ class ThreadPool {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
 
-  /// Spawns max(1, num_threads) workers; num_threads <= 0 means
-  /// DefaultThreads().
+  /// How every worker-count option resolves: `threads` when positive,
+  /// DefaultThreads() otherwise.
+  static int ResolveThreads(int threads) {
+    return threads > 0 ? threads : DefaultThreads();
+  }
+
+  /// Spawns ResolveThreads(num_threads) workers.
   explicit ThreadPool(int num_threads = 0) {
-    if (num_threads <= 0) num_threads = DefaultThreads();
+    num_threads = ResolveThreads(num_threads);
     threads_.reserve(static_cast<size_t>(num_threads));
     for (int i = 0; i < num_threads; ++i) {
       threads_.emplace_back([this] { WorkerLoop(); });
@@ -64,16 +66,8 @@ class ThreadPool {
       MutexLock lock(mu_);
       UVD_CHECK(!shutdown_) << "Submit on a shut-down ThreadPool";
       queue_.push(std::move(task));
-      ++pending_;
     }
     cv_task_.NotifyOne();
-  }
-
-  /// Blocks until every task submitted so far has finished. The pool is
-  /// reusable afterwards.
-  void Wait() UVD_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (pending_ != 0) cv_idle_.Wait(mu_);
   }
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
@@ -97,74 +91,69 @@ class ThreadPool {
         queue_.pop();
       }
       task();
-      {
-        MutexLock lock(mu_);
-        if (--pending_ == 0) cv_idle_.NotifyAll();
-      }
     }
   }
 
   mutable Mutex mu_;
   CondVar cv_task_;
-  CondVar cv_idle_;
   std::queue<std::function<void()>> queue_ UVD_GUARDED_BY(mu_);
-  size_t pending_ UVD_GUARDED_BY(mu_) = 0;  // submitted but not yet finished
   bool shutdown_ UVD_GUARDED_BY(mu_) = false;
   std::vector<std::thread> threads_;
 };
 
-/// \brief Counted completion tracker for fanning ONE call's tasks over a
-/// shared pool.
+/// Runs fn(0), ..., fn(workers - 1), each exactly once, and returns when
+/// all have finished. The caller is worker 0: it submits workers - 1 tasks,
+/// runs fn(0), claims every w no task has claimed yet, then waits only for
+/// the w that tasks are running. A task claims one w; one that finds none
+/// left returns without touching `fn`. Every fn(w) is thus running or
+/// claimable by its own caller, so fan-outs nested on one pool cannot
+/// deadlock. With a null pool the caller runs every w in order.
 ///
-/// ThreadPool::Wait blocks until the pool is globally idle, which couples
-/// concurrent callers: a small batch waits for every overlapping batch to
-/// drain. A WaitGroup instead counts exactly the caller's own tasks.
-/// Allocate it in a shared_ptr captured by value in every task (a
-/// straggler's Done() may run after Wait() has already returned on another
-/// task's notification; shared ownership keeps the tracker alive for it).
-class WaitGroup {
- public:
-  explicit WaitGroup(int count) : remaining_(count) {}
-
-  /// Marks one task complete. Call exactly once per counted task.
-  void Done() UVD_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      --remaining_;
-    }
-    cv_.NotifyOne();
-  }
-
-  /// Blocks until every counted task called Done().
-  void Wait() UVD_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (remaining_ > 0) cv_.Wait(mu_);
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  int remaining_ UVD_GUARDED_BY(mu_);
-};
-
-/// Runs fn(0), ..., fn(workers - 1) as tasks on `pool` and waits for
-/// exactly those tasks (a WaitGroup, not the pool-global Wait: the pool
-/// may be shared with other in-flight work, e.g. sibling shard builds).
-/// With a null pool or one worker, fn(0) runs inline on the calling
-/// thread, so one code path serves every worker count.
+/// Contract for fn: any w may run on any thread, several one after another
+/// on one thread, with no barrier between them. Per-w state (Stats shards,
+/// status slots) is safe; waiting in fn(w) for another fn(w') is not. The
+/// library's fan-outs are claim loops over an atomic cursor.
 inline void RunWorkers(ThreadPool* pool, int workers, const std::function<void(int)>& fn) {
-  if (pool == nullptr || workers <= 1) {
+  if (workers <= 1) {
     fn(0);
     return;
   }
-  auto done = std::make_shared<WaitGroup>(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool->Submit([fn, w, done] {
-      fn(w);
-      done->Done();
-    });
+  // Shared with the tasks, which outlive the call when the caller claimed
+  // their w first; a task dereferences `fn` only after a claim.
+  struct Call {
+    std::atomic<int> next{1};  // fn(0) is the caller's
+    Mutex mu;
+    CondVar cv;
+    int finished_by_tasks UVD_GUARDED_BY(mu) = 0;
+  };
+  auto call = std::make_shared<Call>();
+  if (pool != nullptr) {
+    for (int t = 1; t < workers; ++t) {
+      pool->Submit([call, workers, fn_ptr = &fn] {
+        Call& c = *call;
+        const int w = c.next.fetch_add(1, std::memory_order_relaxed);
+        if (w >= workers) return;
+        (*fn_ptr)(w);
+        {
+          MutexLock lock(c.mu);
+          ++c.finished_by_tasks;
+        }
+        c.cv.NotifyOne();
+      });
+    }
   }
-  done->Wait();
+  Call& c = *call;
+  fn(0);
+  int ran_by_caller = 1;
+  for (;;) {
+    const int w = c.next.fetch_add(1, std::memory_order_relaxed);
+    if (w >= workers) break;
+    fn(w);
+    ++ran_by_caller;
+  }
+  // Every w is claimed now; wait for the ones pool tasks are running.
+  MutexLock lock(c.mu);
+  while (c.finished_by_tasks < workers - ran_by_caller) c.cv.Wait(c.mu);
 }
 
 }  // namespace uvd

@@ -180,8 +180,7 @@ void NormalizeBuildStats(size_t n, BuildStats* s) {
 /// build_threads (hardware concurrency when <= 0) capped at n, since a
 /// worker beyond the n-th would find nothing to claim.
 int BuildWorkers(const BuildPipelineOptions& options, size_t n) {
-  const int threads =
-      options.build_threads > 0 ? options.build_threads : ThreadPool::DefaultThreads();
+  const int threads = ThreadPool::ResolveThreads(options.build_threads);
   return n > 0 ? static_cast<int>(std::min(static_cast<size_t>(threads), n)) : 1;
 }
 
@@ -209,7 +208,7 @@ Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
   const size_t n = objects.size();
   const int workers = BuildWorkers(options, n);
   std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
+  if (workers > 1) pool.emplace(workers - 1);  // the calling thread is the last
   ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
   std::vector<std::vector<int>> index_ids;
   UVD_RETURN_NOT_OK(ComputeStage1Candidates(objects, tree, domain, options, &index_ids,
@@ -236,7 +235,7 @@ Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& ob
   const size_t n = objects.size();
   const int workers = BuildWorkers(options, n);
   std::optional<ThreadPool> own_pool;
-  if (pool == nullptr && workers > 1) pool = &own_pool.emplace(workers);
+  if (pool == nullptr && workers > 1) pool = &own_pool.emplace(workers - 1);
 
   UVD_TRACE_SPAN("build", "stage1");
   const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;

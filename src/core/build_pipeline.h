@@ -117,10 +117,10 @@ struct BuildPipelineOptions {
 };
 
 /// Runs the staged pipeline: ComputeStage1Candidates, then RunStage2, on
-/// one pool of min(build_threads, n) workers. `tree` is the R-tree over the
-/// same objects (Algorithm 2's k-NN and range queries); `ptrs` are the
-/// ObjectStore pointers stored in leaf tuples. Objects must be in id order
-/// (objects[i].id() == i); `index` must be fresh.
+/// min(build_threads, n) workers, the caller and a pool of the rest. `tree`
+/// is the R-tree over the same objects (Algorithm 2's k-NN and range
+/// queries); `ptrs` are the ObjectStore pointers stored in leaf tuples.
+/// Objects must be in id order (objects[i].id() == i); `index` must be fresh.
 Status RunBuildPipeline(const std::vector<uncertain::UncertainObject>& objects,
                         const std::vector<uncertain::ObjectPtr>& ptrs,
                         const rtree::RTree& tree, const geom::Box& domain,
@@ -141,14 +141,14 @@ Status RunStage2(std::vector<UVIndex::BulkInsertItem> items, ThreadPool* pool,
 /// outside regions describe object i's UV-cell (cr-objects for IC,
 /// r-objects for ICR/Basic) — exactly what RunBuildPipeline feeds stage 2.
 /// Fans out over min(build_threads, n) workers with per-worker Stats
-/// shards, on `pool` when given (RunBuildPipeline passes the pool its
-/// stage 2 reuses) and otherwise on a pool of its own; per-object results and the BuildStats aggregation are
-/// accumulated in id order, so the output is bit-identical for every
-/// thread count. Sharded construction (src/shard/) runs this once against
-/// the global population, then runs RunStage2 on every sub-domain index
-/// with the objects whose cells overlap it — the per-subdomain
-/// build/merge split of divide-and-conquer Voronoi construction. Runs
-/// under the build/stage1 span, like RunBuildPipeline's stage 1.
+/// shards, on `pool` when given (the pool the caller's stage 2 reuses)
+/// and otherwise on a pool of its own; per-object results and the
+/// BuildStats aggregation are accumulated in id order, so the output is
+/// bit-identical for every thread count. Sharded construction (src/shard/)
+/// runs this once against the global population, then runs RunStage2 on
+/// every sub-domain index with the objects whose cells overlap it — the
+/// per-subdomain build/merge split of divide-and-conquer Voronoi
+/// construction. Runs under the build/stage1 span.
 Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& objects,
                                const rtree::RTree& tree, const geom::Box& domain,
                                const BuildPipelineOptions& options,

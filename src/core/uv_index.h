@@ -168,9 +168,9 @@ class UVIndex {
   ///
   /// Requires a fresh index (no prior insertions). Items need not have
   /// contiguous ids (shard replicas keep global ids); order is what
-  /// matters. `pool` may be shared; only `options.threads` tasks are in
-  /// flight at once. Each phase runs under a trace span:
-  /// build/stage2_{member,prefix,route,subtree,stitch}.
+  /// matters. `pool` may be shared; only `options.threads` workers run at
+  /// once, the calling thread among them. Each phase runs under a trace
+  /// span: build/stage2_{member,prefix,route,subtree,stitch}.
   Status InsertObjectsPartitioned(std::vector<BulkInsertItem> items,
                                   ThreadPool* pool,
                                   const PartitionedInsertOptions& options,

@@ -28,16 +28,20 @@ QueryEngine::QueryEngine(const core::UVDiagram& diagram,
                          const QueryEngineOptions& options)
     : QueryEngine(ViewOf(diagram), options) {}
 
-QueryEngine::QueryEngine(const DiagramView& view, const QueryEngineOptions& options)
-    : view_(view), options_(options) {
+QueryEngine::QueryEngine(const DiagramView& view, const QueryEngineOptions& options,
+                         ThreadPool* pool)
+    : view_(view),
+      options_(options),
+      threads_(ThreadPool::ResolveThreads(options.threads)),
+      pool_(pool) {
   UVD_CHECK(view_.index != nullptr);
   UVD_CHECK(view_.store != nullptr);
-  threads_ = options.threads > 0 ? options.threads : ThreadPool::DefaultThreads();
   if (options_.enable_cache) {
     cache_ = std::make_unique<QueryCache>(options_.cache);
   }
-  if (threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads_);
+  if (pool_ == nullptr && threads_ > 1) {
+    owned_pool_ = std::make_unique<ThreadPool>(threads_ - 1);
+    pool_ = owned_pool_.get();
   }
 }
 
@@ -157,35 +161,26 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(const QueryBatch& batch) {
     }
   } else {
     // Fan-out: workers claim slots through the cursor; results are written
-    // positionally, so submission order is preserved for free. Completion
-    // is tracked per call (WaitGroup) — NOT via the pool's global Wait,
-    // which would couple this caller's latency to every overlapping
-    // batch's drain.
+    // positionally, so submission order is preserved for free.
     shards.assign(static_cast<size_t>(workers), Stats());
     latency_shards.resize(static_cast<size_t>(workers));
     std::atomic<size_t> next{0};
-    auto done = std::make_shared<WaitGroup>(workers);
-    for (int w = 0; w < workers; ++w) {
+    RunWorkers(pool_, workers, [&](int w) {
+      UVD_TRACE_SPAN("query", "batch_worker");
       Stats* shard = &shards[static_cast<size_t>(w)];
-      KindLatencyShard* latency = &latency_shards[static_cast<size_t>(w)];
-      pool_->Submit([this, &batch, &results, &next, done, shard, latency, timed] {
-        UVD_TRACE_SPAN("query", "batch_worker");
-        for (;;) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch.size()) break;
-          if (timed) {
-            const uint64_t t0 = obs::NowMicros();
-            results[i] = ExecuteOne(batch[i], shard);
-            (*latency)[static_cast<size_t>(batch[i].kind)].Record(
-                obs::NowMicros() - t0);
-          } else {
-            results[i] = ExecuteOne(batch[i], shard);
-          }
+      KindLatencyShard& latency = latency_shards[static_cast<size_t>(w)];
+      for (;;) {
+        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= batch.size()) return;
+        if (timed) {
+          const uint64_t t0 = obs::NowMicros();
+          results[i] = ExecuteOne(batch[i], shard);
+          latency[static_cast<size_t>(batch[i].kind)].Record(obs::NowMicros() - t0);
+        } else {
+          results[i] = ExecuteOne(batch[i], shard);
         }
-        done->Done();
-      });
-    }
-    done->Wait();
+      }
+    });
   }
 
   if (view_.stats != nullptr) {
@@ -226,8 +221,8 @@ void QueryEngine::RegisterMetrics(obs::MetricsRegistry* registry,
       return static_cast<double>(cache->protected_size());
     });
   }
-  if (pool_ != nullptr) {
-    const ThreadPool* pool = pool_.get();
+  if (owned_pool_ != nullptr) {
+    const ThreadPool* pool = owned_pool_.get();
     registry->RegisterGauge(prefix + ".pool.queue_depth", [pool] {
       return static_cast<double>(pool->QueueDepth());
     });

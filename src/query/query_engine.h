@@ -1,10 +1,9 @@
 // Concurrent batched query execution over a built UVDiagram.
 //
-// PR 1 parallelized construction; this subsystem does the same for the
-// serving side. A QueryEngine owns a worker pool (common/thread_pool.h, the
-// same pool type the build pipeline uses) and executes batches of
-// heterogeneous queries — PNN, answer-ids-only, UV-partition range and
-// cell-summary — against an immutable diagram:
+// A QueryEngine executes batches of heterogeneous queries — PNN,
+// answer-ids-only, UV-partition range and cell-summary — against an
+// immutable diagram, fanned out with RunWorkers (common/thread_pool.h) on
+// a pool it owns or, behind a ShardRouter, on the router's pool:
 //
 //   * Fan-out: workers claim batch slots through an atomic cursor; every
 //     query path is const over the diagram (leaf pages and object records
@@ -35,12 +34,10 @@
 // InvalidateCache() before the next batch.
 //
 // In a sharded deployment (src/shard/) one engine serves each shard's
-// DiagramView behind the ShardRouter — whatever the shard boxes came from
-// (grid, bisection, or the data-adaptive median cuts), the engine is
-// partitioning-agnostic. docs/ARCHITECTURE.md has the subsystem map, the
-// batch data flow through the sharded path, and the determinism
-// guarantees table; docs/TUNING.md covers the knobs (threads, cache
-// sizing) with measured trade-offs.
+// DiagramView behind the ShardRouter, borrowing the router's pool.
+// docs/ARCHITECTURE.md has the subsystem map, the batch data flow through
+// the sharded path, and the determinism guarantees table; docs/TUNING.md
+// covers the knobs (threads, cache sizing) with measured trade-offs.
 #ifndef UVD_QUERY_QUERY_ENGINE_H_
 #define UVD_QUERY_QUERY_ENGINE_H_
 
@@ -63,8 +60,8 @@ namespace query {
 
 /// Engine configuration.
 struct QueryEngineOptions {
-  /// Worker count. <= 0: hardware concurrency; 1: serial execution on the
-  /// calling thread (no pool). Results are identical for every setting.
+  /// Worker count, the caller included. <= 0: hardware concurrency; 1:
+  /// serial execution on the calling thread. Results never depend on it.
   int threads = 0;
   /// Cell-level result caching of the leaf page-list phase. Answers are
   /// bitwise-identical with the cache on or off; disable to measure raw
@@ -91,7 +88,10 @@ class QueryEngine {
  public:
   explicit QueryEngine(const core::UVDiagram& diagram,
                        const QueryEngineOptions& options = {});
-  explicit QueryEngine(const DiagramView& view, const QueryEngineOptions& options = {});
+  /// A given `pool` is borrowed and must outlive the engine; otherwise the
+  /// engine owns one of threads - 1 workers (the caller is the last).
+  explicit QueryEngine(const DiagramView& view, const QueryEngineOptions& options = {},
+                       ThreadPool* pool = nullptr);
 
   /// Answers every query in the batch; results[i] corresponds to batch[i].
   /// Per-query failures (e.g. a point outside the domain) are reported in
@@ -125,10 +125,10 @@ class QueryEngine {
 
   /// Registers this engine's observables on `registry` under `prefix`:
   /// "<prefix>.query.<kind>.latency.us" histograms, cache occupancy
-  /// gauges ("<prefix>.cache.size" / ".cache.protected_size"), the pool
-  /// queue depth ("<prefix>.pool.queue_depth") and — when the view carries
-  /// a Stats — every ticker as "<prefix>.<ticker>". The engine must
-  /// outlive the registry's last snapshot.
+  /// gauges ("<prefix>.cache.size" / ".cache.protected_size"), an owned
+  /// pool's queue depth ("<prefix>.pool.queue_depth") and — when the view
+  /// carries a Stats — every ticker as "<prefix>.<ticker>". The engine
+  /// must outlive the registry's last snapshot.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
 
@@ -150,7 +150,8 @@ class QueryEngine {
   QueryEngineOptions options_;
   int threads_;
   std::unique_ptr<QueryCache> cache_;    // null if disabled
-  std::unique_ptr<ThreadPool> pool_;     // null if threads_ == 1
+  std::unique_ptr<ThreadPool> owned_pool_;  // null if borrowed or threads_ == 1
+  ThreadPool* pool_;                        // the fan-out's pool; null if none
   mutable Mutex stats_mu_;
   // Last batch's shards (observability snapshot, republished per batch).
   std::vector<Stats> worker_stats_ UVD_GUARDED_BY(stats_mu_);

@@ -13,21 +13,22 @@ namespace shard {
 
 ShardRouter::ShardRouter(const ShardedUVDiagram& diagram,
                          const ShardRouterOptions& options)
-    : diagram_(diagram), options_(options) {
+    : diagram_(diagram),
+      options_(options),
+      // Default: one slot per shard, NOT capped at hardware concurrency — a
+      // disk-bound shard spends its time blocked in page reads, so fanning
+      // all shards even on few cores is what hides the latency.
+      router_threads_(options.router_threads > 0 ? options.router_threads
+                                                 : static_cast<int>(diagram.num_shards())) {
+  const int workers = router_threads_ * ThreadPool::ResolveThreads(options_.engine.threads);
+  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers - 1);
   engines_.reserve(diagram.num_shards());
   shard_obs_.reserve(diagram.num_shards());
   for (size_t s = 0; s < diagram.num_shards(); ++s) {
-    engines_.push_back(std::make_unique<query::QueryEngine>(diagram.ViewOfShard(s),
-                                                            options_.engine));
+    engines_.push_back(std::make_unique<query::QueryEngine>(
+        diagram.ViewOfShard(s), options_.engine, pool_.get()));
     shard_obs_.push_back(std::make_unique<ShardObs>());
   }
-  // Default: one slot per shard, NOT capped at hardware concurrency — a
-  // disk-bound shard spends its time blocked in page reads, so fanning all
-  // shards even on few cores is what hides the latency (the sharding win).
-  const int threads = options_.router_threads > 0
-                          ? options_.router_threads
-                          : static_cast<int>(diagram.num_shards());
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 void ShardRouter::InvalidateCaches() {
@@ -66,6 +67,12 @@ void ShardRouter::RegisterMetrics(obs::MetricsRegistry* registry,
     });
     registry->RegisterHistogram(shard_prefix + ".storage.page.read.latency.us",
                                 &diagram_.shard(s).pm->read_latency_histogram());
+  }
+  if (pool_ != nullptr) {
+    const ThreadPool* pool = pool_.get();
+    registry->RegisterGauge(prefix + ".router.pool.queue_depth", [pool] {
+      return static_cast<double>(pool->QueueDepth());
+    });
   }
   registry->RegisterCounter(prefix + ".router.fanout.total", [this] {
     return fanout_total_.load(std::memory_order_relaxed);
@@ -175,12 +182,11 @@ std::vector<query::QueryResult> ShardRouter::ExecuteBatch(
   for (size_t s = 0; s < num_shards; ++s) {
     if (!plan[s].empty()) active.push_back(s);
   }
-  // RunWorkers waits for exactly this call's tasks, so concurrent router
+  // RunWorkers waits for exactly this call's workers, so concurrent router
   // batches share the pool without waiting on each other's drain; with one
-  // active shard (or no pool) it runs inline.
+  // active shard it runs inline. Each engine's fan-out nests on the pool.
   const int tasks =
-      pool_ == nullptr ? 1 : static_cast<int>(std::min<size_t>(active.size(),
-                                                              pool_->num_threads()));
+      static_cast<int>(std::min<size_t>(active.size(), static_cast<size_t>(router_threads_)));
   std::atomic<size_t> next{0};
   RunWorkers(pool_.get(), tasks, [&](int) {
     for (;;) {

@@ -33,6 +33,10 @@
 //     found summaries merge (areas and leaf counts add — shard leaves are
 //     disjoint — extents union). All-shards-NotFound merges to NotFound.
 //
+// Threads: the router owns one pool of router_threads x engine.threads - 1
+// workers (the caller is the last) and lends it to every engine, whose
+// batch fan-outs nest inside the router's shard fan-out.
+//
 // Stats: each shard's engine bills that shard's Stats
 // (ShardedUVDiagram::ViewOfShard) with per-worker shards merged via
 // Stats::MergeFrom, extending the per-worker story to per-index-shard.
@@ -123,6 +127,7 @@ class ShardRouter {
   ///   "<prefix>.router.multi_shard_queries" queries fanned to >1 shard
   ///   "<prefix>.router.shard_imbalance"    object-count max/mean gauge
   ///                                        (BalanceReport)
+  ///   "<prefix>.router.pool.queue_depth"   the router pool's queued tasks
   /// The router must outlive the registry's last snapshot.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
@@ -133,8 +138,8 @@ class ShardRouter {
   ///
   /// The router holds no mutex of its own: engines_/shard_obs_ are built
   /// in the constructor and immutable afterwards, per-worker accumulation
-  /// is relaxed-atomic, and per-call completion is RunWorkers' WaitGroup
-  /// (whose internal lock discipline is compile-time checked via
+  /// is relaxed-atomic, and per-call completion is RunWorkers' own (whose
+  /// internal lock discipline is compile-time checked via
   /// common/thread_annotations.h). Any future mutable router state — e.g.
   /// the streaming merge or admission queues on the ROADMAP — must be
   /// UVD_GUARDED_BY an annotated Mutex (docs/STATIC_ANALYSIS.md).
@@ -145,11 +150,12 @@ class ShardRouter {
 
   const ShardedUVDiagram& diagram_;
   ShardRouterOptions options_;
+  int router_threads_;                // resolved width of the shard fan-out
+  std::unique_ptr<ThreadPool> pool_;  // outlives engines_, which borrow it
   std::vector<std::unique_ptr<query::QueryEngine>> engines_;
   std::vector<std::unique_ptr<ShardObs>> shard_obs_;  // parallel to engines_
   std::atomic<uint64_t> fanout_total_{0};
   std::atomic<uint64_t> multi_shard_queries_{0};
-  std::unique_ptr<ThreadPool> pool_;  // null when router_threads == 1
 };
 
 }  // namespace shard

@@ -216,6 +216,12 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
   d.domain_ = domain;
   d.options_.num_shards = std::max(1, options.num_shards);
   const size_t n = d.objects_.size();
+  // The build's one pool (the caller is the last worker): stage 1, the
+  // shard fan-out and every shard's stage 2 nested in it borrow it.
+  const int build_threads = ThreadPool::ResolveThreads(d.options_.diagram.build_threads);
+  std::optional<ThreadPool> pool_storage;
+  if (build_threads > 1) pool_storage.emplace(build_threads - 1);
+  ThreadPool* const pool = pool_storage ? &*pool_storage : nullptr;
 
   // Global stage 1 against the full population: a scratch store + R-tree
   // drive Algorithm 2's pruning exactly as an unsharded build would, so
@@ -233,7 +239,7 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
                                d.options_.diagram.rtree, d.stats_));
     UVD_RETURN_NOT_OK(core::ComputeStage1Candidates(
         d.objects_, tree, domain, core::PipelineOptionsFor(d.options_.diagram),
-        &index_ids, &d.build_stats_, d.stats_));
+        &index_ids, &d.build_stats_, d.stats_, pool));
   }
   std::vector<std::vector<geom::Circle>> cell_regions(n);
   for (size_t i = 0; i < n; ++i) {
@@ -255,13 +261,10 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
   d.shards_.resize(boxes.size());
   std::vector<Status> shard_status(boxes.size());
 
-  const int build_threads = d.options_.diagram.build_threads > 0
-                                ? d.options_.diagram.build_threads
-                                : ThreadPool::DefaultThreads();
   const int workers = std::min<int>(build_threads, static_cast<int>(boxes.size()));
   // Threads left over once every shard build has a worker go to each
-  // shard's own partitioned stage 2 (K=2 shards on 8 build threads: 2
-  // shard builds x 4 insertion workers each).
+  // shard's own partitioned stage 2, nested on the same pool (K=2 shards
+  // on 8 build threads: 2 shard builds x 4 insertion workers each).
   const int stage2_threads = std::max(1, build_threads / std::max(1, workers));
 
   const auto build_shard = [&](size_t s) {
@@ -305,11 +308,7 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
       items[k].ptr = sh.ptrs[k];
       items[k].cr_regions = cell_regions[gid];  // copy: shared across shards
     }
-    std::optional<ThreadPool> stage2_pool;
-    if (stage2_threads > 1) stage2_pool.emplace(stage2_threads);
-    shard_status[s] = core::RunStage2(std::move(items),
-                                      stage2_pool ? &*stage2_pool : nullptr,
-                                      stage2_threads,
+    shard_status[s] = core::RunStage2(std::move(items), pool, stage2_threads,
                                       d.options_.diagram.stage2_max_depth,
                                       sh.index.get());
   };
@@ -319,10 +318,8 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
   // there is no guarded state here for the thread-safety analysis — the
   // pool's own lock discipline is annotated at its source
   // (common/thread_pool.h; docs/STATIC_ANALYSIS.md).
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
   std::atomic<size_t> next{0};
-  RunWorkers(pool ? &*pool : nullptr, workers, [&](int) {
+  RunWorkers(pool, workers, [&](int) {
     for (;;) {
       const size_t s = next.fetch_add(1, std::memory_order_relaxed);
       if (s >= boxes.size()) return;

@@ -111,17 +111,14 @@ TEST(TraceRecorderTest, ConcurrentSpansUnderThreadPool) {
   constexpr int kSpansPerWorker = 500;
   {
     ThreadPool pool(kWorkers);
-    for (int w = 0; w < kWorkers; ++w) {
-      pool.Submit([] {
-        for (int i = 0; i < kSpansPerWorker; ++i) {
-          UVD_TRACE_SPAN("test", "pool_span");
-          {
-            UVD_TRACE_SPAN("test", "nested_pool_span");
-          }
+    RunWorkers(&pool, kWorkers, [](int) {
+      for (int i = 0; i < kSpansPerWorker; ++i) {
+        UVD_TRACE_SPAN("test", "pool_span");
+        {
+          UVD_TRACE_SPAN("test", "nested_pool_span");
         }
-      });
-    }
-    pool.Wait();
+      }
+    });
   }
   TraceRecorder::SetEnabled(false);
   EXPECT_EQ(TraceRecorder::Global().event_count() - before,
@@ -170,15 +167,12 @@ TEST(TraceRecorderTest, PhaseTotalsMergeAcrossThreads) {
   constexpr int kSpansPerWorker = 20000;  // > kDefaultRingCapacity / 2
   {
     ThreadPool pool(kWorkers);
-    for (int w = 0; w < kWorkers; ++w) {
-      pool.Submit([] {
-        for (int i = 0; i < kSpansPerWorker; ++i) {
-          UVD_TRACE_SPAN("test", "outer");
-          UVD_TRACE_SPAN("test", "inner");
-        }
-      });
-    }
-    pool.Wait();
+    RunWorkers(&pool, kWorkers, [](int) {
+      for (int i = 0; i < kSpansPerWorker; ++i) {
+        UVD_TRACE_SPAN("test", "outer");
+        UVD_TRACE_SPAN("test", "inner");
+      }
+    });
   }
   TraceRecorder::SetEnabled(false);
   EXPECT_GT(TraceRecorder::Global().dropped(), 0u);

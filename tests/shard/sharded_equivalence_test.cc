@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,10 +20,12 @@
 #include "datagen/generators.h"
 #include "datagen/workload.h"
 #include "geom/batch/kernels.h"
+#include "obs/trace_recorder.h"
 #include "query/query_engine.h"
 #include "query/result_digest.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_uv_diagram.h"
+#include "testing/phase_trace.h"
 
 namespace uvd {
 namespace shard {
@@ -412,6 +415,70 @@ TEST(ShardedEquivalenceTest, StageOneHonoursKernelSwitch) {
   }
   EXPECT_GT(insertions[0], insertions[1]);
   ExpectPointAnswersIdentical(answers[0], answers[1]);
+}
+
+// The threads that recorded a span since the trace was last cleared: the
+// distinct rings ("tid") in the Chrome export. A ring-count delta would
+// undercount, because a new thread may reuse an exited thread's id and,
+// with it, that thread's ring. Threads alive at once never share one.
+size_t ThreadsThatRecorded() {
+  const std::string json = obs::TraceRecorder::Global().ToChromeTraceJson();
+  const std::string key = "\"tid\": ";
+  std::set<std::string> tids;
+  for (size_t at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) {
+    const size_t begin = at + key.size();
+    tids.insert(json.substr(begin, json.find('}', begin) - begin));
+  }
+  return tids.size();
+}
+
+TEST(ShardedEquivalenceTest, ShardedBuildRunsOnOnePool) {
+  // Stage 1, the shard fan-out and every shard's stage 2 share one pool
+  // of build_threads - 1 threads, the calling thread being the last.
+  UVD_SKIP_WITHOUT_TRACING();
+  const auto opts = DataOptions(800, 61);
+  ShardedUVDiagramOptions options;
+  options.num_shards = 2;
+  options.diagram.build_threads = 8;
+  auto objects = datagen::GenerateUniform(opts);
+  test::PhaseTrace trace;
+  const auto sharded =
+      ShardedUVDiagram::Build(std::move(objects), datagen::DomainFor(opts), options)
+          .ValueOrDie();
+  EXPECT_LE(ThreadsThatRecorded(), 8u);
+  EXPECT_EQ(sharded.num_shards(), 2u);
+  EXPECT_GT(trace.Totals().at("shard/build_shard").count, 0u);
+}
+
+TEST(ShardedEquivalenceTest, RouterBatchRunsOnOnePool) {
+  // The router's shard fan-out and each engine's batch fan-out share the
+  // router's pool of router_threads x engine.threads - 1 threads.
+  UVD_SKIP_WITHOUT_TRACING();
+  const size_t n = 600;
+  const auto sharded = BuildSharded(n, 31, 4);
+  Rng rng(53);
+  query::QueryBatch batch;
+  for (int i = 0; i < 400; ++i) {
+    const geom::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
+    batch.push_back(i % 2 == 0 ? query::Query::Pnn(p) : query::Query::AnswerIds(p));
+    if (i % 10 == 0) {
+      batch.push_back(query::Query::UvPartitions(
+          geom::Box({p.x / 2, p.y / 2}, {p.x / 2 + 900, p.y / 2 + 900})));
+      batch.push_back(query::Query::CellSummary(
+          static_cast<int>(rng.UniformInt(0, static_cast<int64_t>(n) - 1))));
+    }
+  }
+  ShardRouterOptions opts;
+  opts.router_threads = 4;
+  opts.engine.threads = 2;
+  test::PhaseTrace trace;
+  {
+    ShardRouter router(sharded, opts);
+    const auto results = router.ExecuteBatch(batch);
+    ASSERT_EQ(results.size(), batch.size());
+  }
+  EXPECT_LE(ThreadsThatRecorded(), 8u);
+  EXPECT_EQ(trace.Totals().at("router/route_shard").count, 4u);
 }
 
 }  // namespace
