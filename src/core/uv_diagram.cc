@@ -92,12 +92,13 @@ Result<UVDiagram> UVDiagram::Open(const std::string& path, const Options& option
   return d;
 }
 
-Status UVDiagram::RefreshRtreeIfStale() const {
+Status UVDiagram::RefreshRtreeIfStale(bool fold_tail) const {
   MutexLock lock(*rtree_mu_);
-  if (!rtree_stale_) return Status::OK();
+  if (!rtree_stale_ && (!fold_tail || rtree_->tail().empty())) return Status::OK();
+  auto pm = std::make_unique<storage::PageManager>(options_.page_size, stats_);
   UVD_ASSIGN_OR_RETURN(
       rtree::RTree tree,
-      rtree::RTree::BulkLoad(objects_, unit_.ptrs, unit_.pm.get(), options_.rtree, stats_));
+      rtree::RTree::BulkLoad(objects_, unit_.ptrs, pm.get(), options_.rtree, stats_));
   if (rtree_ == nullptr) {
     // Reopened diagrams start without an R-tree (it is derivable, not
     // persisted); materialize it on first use.
@@ -105,6 +106,7 @@ Status UVDiagram::RefreshRtreeIfStale() const {
   } else {
     *rtree_ = std::move(tree);
   }
+  rtree_pm_ = std::move(pm);
   rtree_stale_ = false;
   return Status::OK();
 }
@@ -122,14 +124,21 @@ Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
   objects_.push_back(std::move(object));
   unit_.ptrs.push_back(ptr.value());
   {
+    // Up to one leaf page's worth of inserts rides in the tree's tail;
+    // the insert after that rebuilds the tree, folding the tail.
     MutexLock lock(*rtree_mu_);
-    rtree_stale_ = true;
+    if (!rtree_stale_ &&
+        rtree_->tail().size() < static_cast<size_t>(options_.rtree.fanout)) {
+      rtree_->Append({objects_.back().id(), objects_.back().Mbc(), unit_.ptrs.back()});
+    } else {
+      rtree_stale_ = true;
+    }
   }
 
   // Derive the new object's cr-objects against the full population (the
-  // lazily rebuilt R-tree covers every earlier insert).
+  // R-tree and its tail cover every earlier insert).
   const auto index_new_object = [&]() -> Status {
-    UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
+    UVD_RETURN_NOT_OK(RefreshRtreeIfStale(/*fold_tail=*/false));
     const CrObjectFinder finder(objects_, *rtree_, unit_.box, options_.cr, stats_);
     CrFinderWorkspace ws;
     const CrResult cr = finder.Find(objects_.size() - 1, &ws);
@@ -145,7 +154,8 @@ Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
   const Status st = index_new_object();
   if (!st.ok()) {
     // Roll back: the index is as it was (InsertObjectLive undoes itself),
-    // so forget the record and rebuild the R-tree without it on next use.
+    // so forget the record and rebuild the R-tree (which may hold it in
+    // its tail) without it on next use.
     unit_.store->DropLastRecord();
     objects_.pop_back();
     unit_.ptrs.pop_back();
@@ -161,7 +171,7 @@ Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnn(const geom::Point&
 
 Result<std::vector<uncertain::PnnAnswer>> UVDiagram::QueryPnnWithRtree(
     const geom::Point& q) const {
-  UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
+  UVD_RETURN_NOT_OK(RefreshRtreeIfStale(/*fold_tail=*/true));
   return rtree::EvaluatePnnWithRtree(*rtree_, *unit_.store, q, options_.qualification,
                                      stats_);
 }

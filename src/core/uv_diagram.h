@@ -86,10 +86,10 @@ class UVDiagram {
   /// is deserialized, and page reads flow through the (optional) buffer
   /// pool. `options.page_size` is ignored — the file's metapage rules.
   /// The R-tree is NOT rebuilt eagerly; the first R-tree-path call
-  /// (QueryPnnWithRtree / rtree()) reconstructs it from the reloaded
-  /// objects. Failure codes are the storage layer's typed ones: a damaged
-  /// file yields Corruption (etc.), never a silently wrong diagram; a
-  /// shard file of a ShardedUVDiagram yields InvalidArgument.
+  /// (QueryPnnWithRtree / rtree()) or insert reconstructs it in RAM from
+  /// the reloaded objects. Failure codes are the storage layer's typed
+  /// ones: a damaged file yields Corruption (etc.), never a silently wrong
+  /// diagram; a shard file of a ShardedUVDiagram yields InvalidArgument.
   static Result<UVDiagram> Open(const std::string& path,
                                 const Options& options = {},
                                 Stats* stats = nullptr);
@@ -112,11 +112,13 @@ class UVDiagram {
   /// Incremental insertion (paper Sec. VII future work): derives the new
   /// object's cr-objects against the current population and appends it to
   /// the frozen grid (UVIndex::InsertObjectLive). The object id must be
-  /// objects().size(). The R-tree is rebuilt lazily before its next use,
-  /// so both query paths stay consistent. Suitable for modest insert
-  /// rates; rebuild the diagram when leaf chains degrade. A failed call
-  /// returns its Status and leaves the diagram serving what it served
-  /// before, so the same object can be inserted again.
+  /// objects().size(). The new entry joins the R-tree's in-RAM tail; once
+  /// the tail holds a leaf page's worth (options().rtree.fanout), the next
+  /// insert rebuilds the tree in RAM over all objects instead. Suitable
+  /// for modest insert rates; rebuild the diagram when leaf chains
+  /// degrade. A failed call returns its Status and leaves the diagram
+  /// serving what it served before, so the same object can be inserted
+  /// again.
   Status InsertObject(uncertain::UncertainObject object);
 
   /// PNN through the UV-index (paper Sec. V-A). Errors (I/O failures,
@@ -136,10 +138,11 @@ class UVDiagram {
   const std::vector<uncertain::UncertainObject>& objects() const { return objects_; }
   const geom::Box& domain() const { return unit_.box; }
   const UVIndex& index() const { return *unit_.index; }
-  /// The R-tree, rebuilt first if stale; a failed rebuild's I/O error
-  /// comes back here.
+  /// The R-tree, rebuilt first if stale or if inserts left it a tail, so
+  /// the result has an empty tail(); a failed rebuild's error comes back
+  /// here.
   Result<const rtree::RTree*> rtree() const {
-    UVD_RETURN_NOT_OK(RefreshRtreeIfStale());
+    UVD_RETURN_NOT_OK(RefreshRtreeIfStale(/*fold_tail=*/true));
     return rtree_.get();
   }
   const uncertain::ObjectStore& store() const { return *unit_.store; }
@@ -155,16 +158,17 @@ class UVDiagram {
   /// null); Build and Open fill in the rest.
   UVDiagram(const Options& options, Stats* stats);
 
-  /// Rebuilds the R-tree if live inserts or a reopen made it stale; a
-  /// failed rebuild returns its Status and leaves it stale. The staleness
-  /// check and the rebuild run under rtree_mu_, so concurrent R-tree-path
-  /// callers (QueryPnnWithRtree, rtree()) cannot both rebuild or observe
-  /// a half-built tree (the lazy mutation under `const` used to race).
-  /// Note a rebuild allocates pages in the shared PageManager, which must
-  /// not overlap ANY other reader (see page_manager.h); today that holds
-  /// because rebuilds only actually fire inside InsertObject — a mutation,
-  /// which callers already must not overlap with queries.
-  Status RefreshRtreeIfStale() const;
+  /// Rebuilds the R-tree over all objects if an insert or a reopen made
+  /// it stale, or, with `fold_tail`, if inserts left it a non-empty tail;
+  /// a failed rebuild returns its Status and leaves the tree stale. The
+  /// rebuild bulk-loads into a fresh in-RAM PageManager (rtree_pm_) that
+  /// replaces the previous one, so it writes nothing to the durable store
+  /// and frees the old tree's pages. The check and the rebuild run under
+  /// rtree_mu_, so concurrent R-tree-path callers (QueryPnnWithRtree,
+  /// rtree()) cannot both rebuild or observe a half-built tree. They pass
+  /// fold_tail: once one of them has folded, the tree stays clean until
+  /// the next InsertObject, which callers must not overlap with queries.
+  Status RefreshRtreeIfStale(bool fold_tail) const;
 
   std::vector<uncertain::UncertainObject> objects_;
   Options options_;
@@ -173,16 +177,18 @@ class UVDiagram {
   /// Storage, object store and UV-index; unit_.box is the domain.
   IndexUnit unit_;
   mutable std::unique_ptr<rtree::RTree> rtree_;
-  /// Guards rtree_stale_ and the lazy rebuild of *rtree_. A unique_ptr so
-  /// UVDiagram stays movable (Result<UVDiagram> returns by value); the
-  /// analysis tracks the capability through the dereference
-  /// (UVD_GUARDED_BY(*rtree_mu_)). The rebuilt R-tree VALUE is read
-  /// lock-free on query paths — that is safe because rebuilds only fire
-  /// inside InsertObject, which callers must not overlap with queries
-  /// (see RefreshRtreeIfStale below), so only the staleness flag carries
-  /// the annotation.
+  /// Guards rtree_stale_, rtree_pm_ and the lazy rebuild of *rtree_. A
+  /// unique_ptr so UVDiagram stays movable (Result<UVDiagram> returns by
+  /// value); the analysis tracks the capability through the dereference
+  /// (UVD_GUARDED_BY(*rtree_mu_)). The R-tree VALUE is read lock-free on
+  /// query paths — that is safe because every reader first passes the
+  /// lock in RefreshRtreeIfStale, and after it no rebuild fires until the
+  /// next InsertObject, which callers must not overlap with queries.
   mutable std::unique_ptr<Mutex> rtree_mu_ = std::make_unique<Mutex>();
   mutable bool rtree_stale_ UVD_GUARDED_BY(*rtree_mu_) = false;
+  /// Pages of a rebuilt R-tree; null while the tree is the one Build
+  /// loaded into unit_.pm.
+  mutable std::unique_ptr<storage::PageManager> rtree_pm_ UVD_GUARDED_BY(*rtree_mu_);
   BuildStats build_stats_;
 };
 

@@ -143,6 +143,9 @@ Result<PnnRetrieval> TwoPhaseRetrieve(const RTree& tree, const geom::Point& q,
 Result<PnnRetrieval> RetrievePnnCandidates(const RTree& tree, const geom::Point& q,
                                            Stats* stats,
                                            const PnnBaselineOptions& options) {
+  if (!tree.tail().empty()) {
+    return Status::InvalidArgument("R-tree baseline needs a tree without a tail");
+  }
   switch (options.traversal) {
     case BaselineTraversal::kTwoPhase:
       return TwoPhaseRetrieve(tree, q, stats);

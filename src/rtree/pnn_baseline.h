@@ -44,7 +44,9 @@ struct PnnBaselineOptions {
 };
 
 /// Index phase only: retrieve all answer-object candidates via
-/// branch-and-prune. Page I/O failures propagate as error Status.
+/// branch-and-prune. Page I/O failures propagate as error Status. The
+/// walk covers the packed tree only: a tree with a non-empty tail()
+/// yields InvalidArgument.
 Result<PnnRetrieval> RetrievePnnCandidates(const RTree& tree, const geom::Point& q,
                                            Stats* stats = nullptr,
                                            const PnnBaselineOptions& options = {});

@@ -166,6 +166,10 @@ void RTree::KNearestByDistMin(const geom::Point& q, int k,
   heap.clear();
   const std::greater<KnnHeapItem> worse;
   heap.push_back({0.0, root_, -1, 0, {}});
+  for (const LeafEntry& e : tail_) {
+    heap.push_back({e.mbc.DistMin(q), 0, e.id, 2, e});
+    std::push_heap(heap.begin(), heap.end(), worse);
+  }
 
   std::vector<LeafEntry>& page_entries = scratch->page_entries;
   while (!heap.empty() && out->size() < static_cast<size_t>(k)) {
@@ -236,11 +240,15 @@ void RTree::CentersInRange(const geom::Point& center, double radius,
       }
     }
   }
+  for (const LeafEntry& e : tail_) {
+    if (geom::Distance(e.mbc.center, center) <= radius) out->push_back(e);
+  }
 }
 
 size_t RTree::MemoryBytes() const {
   size_t bytes = sizeof(RTree) + leaf_pages_.size() * sizeof(storage::PageId) +
-                 leaf_mbrs_.size() * sizeof(geom::Box);
+                 leaf_mbrs_.size() * sizeof(geom::Box) +
+                 tail_.size() * sizeof(LeafEntry);
   for (const Node& n : nodes_) {
     bytes += sizeof(Node) + n.children.size() * sizeof(uint32_t);
   }

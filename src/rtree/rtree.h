@@ -63,14 +63,22 @@ struct TraversalScratch {
   Status status;
 };
 
-/// \brief Packed R-tree with disk-resident leaves.
+/// \brief Packed R-tree with disk-resident leaves, plus an in-RAM tail.
 ///
-/// Thread safety: the tree is immutable after BulkLoad — the const query
-/// paths (KNearestByDistMin, CentersInRange, ReadLeaf) keep no mutable
-/// caches and only touch nodes_/leaf_mbrs_/leaf_pages_, PageManager::Read
-/// (safe for concurrent readers), and atomic Stats tickers. Any number of
-/// threads may query one tree concurrently, provided nobody writes to the
-/// underlying PageManager meanwhile; the build pipeline relies on this.
+/// The tail holds entries added by Append after BulkLoad. KNearestByDistMin
+/// and CentersInRange scan it beside the packed tree, so their results
+/// cover every entry; the low-level accessors (nodes(), leaf_pages(),
+/// leaf_mbrs(), ReadLeaf) see the packed tree only, so walkers built on
+/// them (TraversalSession, the PNN baseline) require an empty tail. A
+/// tree fresh from BulkLoad has one, and builds never append.
+///
+/// Thread safety: Append is the one mutation and must not overlap any
+/// other call. Otherwise the const query paths keep no mutable caches and
+/// only touch the in-memory levels, the tail, PageManager::Read (safe for
+/// concurrent readers) and atomic Stats tickers. Any number of threads
+/// may query one tree concurrently, provided nobody appends to it or
+/// writes to the underlying PageManager meanwhile; the build pipeline
+/// relies on this.
 class RTree {
  public:
   /// In-memory non-leaf node. `children` index nodes() when
@@ -88,6 +96,11 @@ class RTree {
                                 storage::PageManager* pm,
                                 const RTreeOptions& options = {},
                                 Stats* stats = nullptr);
+
+  /// Adds one entry to the in-RAM tail; no page is read or written.
+  /// Queries see it at once. To fold the tail, bulk-load a new tree over
+  /// every entry.
+  void Append(const LeafEntry& entry) { tail_.push_back(entry); }
 
   /// The k objects with smallest dist_min(O, q), best-first. Used by seed
   /// selection (paper Sec. IV-B, k = 300). Output order is canonical:
@@ -118,13 +131,16 @@ class RTree {
   uint32_t root() const { return root_; }
   const std::vector<storage::PageId>& leaf_pages() const { return leaf_pages_; }
   const std::vector<geom::Box>& leaf_mbrs() const { return leaf_mbrs_; }
+  /// Entries appended since BulkLoad, in append order.
+  const std::vector<LeafEntry>& tail() const { return tail_; }
 
-  size_t num_objects() const { return num_objects_; }
+  /// Packed entries plus the tail.
+  size_t num_objects() const { return num_objects_ + tail_.size(); }
   size_t num_leaf_pages() const { return leaf_pages_.size(); }
   int height() const { return height_; }
 
-  /// Bytes held in main memory (non-leaf levels), for the paper's memory
-  /// comparison against the UV-index.
+  /// Bytes held in main memory (non-leaf levels and the tail), for the
+  /// paper's memory comparison against the UV-index.
   size_t MemoryBytes() const;
 
  private:
@@ -140,8 +156,9 @@ class RTree {
   uint32_t root_ = 0;
   std::vector<storage::PageId> leaf_pages_;
   std::vector<geom::Box> leaf_mbrs_;
-  size_t num_objects_ = 0;
+  size_t num_objects_ = 0;  ///< packed entries
   int height_ = 0;
+  std::vector<LeafEntry> tail_;
 };
 
 }  // namespace rtree

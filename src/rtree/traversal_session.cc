@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 
+#include "common/logging.h"
 #include "obs/trace_recorder.h"
 
 namespace uvd {
@@ -35,6 +36,7 @@ TraversalSession::TraversalSession(const RTree& tree,
     : tree_(tree),
       stats_(stats),
       memo_(std::max<size_t>(1, options.leaf_memo_capacity)) {
+  UVD_CHECK(tree.tail().empty()) << "a session walks the packed tree only";
   Reset();
 }
 

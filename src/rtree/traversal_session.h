@@ -69,7 +69,8 @@ struct TraversalSessionOptions {
   size_t leaf_memo_capacity = 256;
 };
 
-/// \brief Reusable k-NN / range traversal state over one immutable RTree.
+/// \brief Reusable k-NN / range traversal state over one immutable RTree,
+/// which must have an empty tail() (checked at construction).
 class TraversalSession {
  public:
   explicit TraversalSession(const RTree& tree,

@@ -108,12 +108,12 @@ TEST(UvDiagramTest, ConcurrentRtreeQueriesAfterInsertDoNotRace) {
   const int new_id = static_cast<int>(d.objects().size());
   ASSERT_TRUE(d.InsertObject(uncertain::UncertainObject::WithGaussianPdf(
                                  new_id, {{5000, 5000}, 30}))
-                  .ok());  // marks the R-tree stale
+                  .ok());  // leaves the R-tree a one-entry tail to fold
 
   const auto queries = datagen::UniformQueryPoints(12, d.domain(), 43);
   std::vector<std::thread> threads;
   std::vector<int> answer_counts(4, 0);
-  // Spin barrier: all threads hit their first (stale) query together, so
+  // Spin barrier: all threads hit their first (folding) query together, so
   // the racy interleaving actually materializes under TSan.
   std::atomic<int> ready{0};
   for (int t = 0; t < 4; ++t) {

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "core/uv_diagram.h"
@@ -23,6 +28,11 @@ std::vector<int> BruteAnswers(const std::vector<uncertain::UncertainObject>& obj
     if (o.DistMin(q) <= d_minmax) ids.push_back(o.id());
   }
   return ids;
+}
+
+uncertain::UncertainObject RandomObject(int id, Rng* rng) {
+  return uncertain::UncertainObject::WithGaussianPdf(
+      id, {{rng->Uniform(0, 10000), rng->Uniform(0, 10000)}, 20});
 }
 
 TEST(LiveInsertTest, AnswersStayExactAfterInserts) {
@@ -167,6 +177,129 @@ TEST(LiveInsertTest, ManyInsertsLengthenLeafChains) {
   }
   EXPECT_EQ(diagram.index().num_nonleaf(), nonleaf_before) << "no live splits";
   EXPECT_GE(diagram.index().total_leaf_pages(), pages_before);
+}
+
+TEST(LiveInsertTest, TailMatchesRebuildPerInsert) {
+  // Diagram A keeps live inserts in the R-tree's tail, folding it once a
+  // leaf page's worth (fanout 100) has gathered: 250 inserts cross two
+  // folds. Diagram B calls rtree() after every insert, which folds each
+  // time, as a rebuild per insert. k-NN order and range sets do not
+  // depend on the tree's shape, so both indexes must serialize to the
+  // same bytes and answer alike, and like brute force.
+  datagen::DatasetOptions opts;
+  opts.count = 400;
+  opts.seed = 31;
+  auto a = UVDiagram::Build(datagen::GenerateUniform(opts), datagen::DomainFor(opts))
+               .ValueOrDie();
+  auto b = UVDiagram::Build(datagen::GenerateUniform(opts), datagen::DomainFor(opts))
+               .ValueOrDie();
+  Rng rng(37);
+  for (int k = 0; k < 250; ++k) {
+    const auto object = RandomObject(static_cast<int>(a.objects().size()), &rng);
+    ASSERT_TRUE(a.InsertObject(object).ok());
+    ASSERT_TRUE(b.InsertObject(object).ok());
+    ASSERT_TRUE(b.rtree().ok());
+  }
+  std::vector<uint8_t> bytes_a;
+  std::vector<uint8_t> bytes_b;
+  ASSERT_TRUE(a.index().SerializeStructure(&bytes_a).ok());
+  ASSERT_TRUE(b.index().SerializeStructure(&bytes_b).ok());
+  EXPECT_EQ(bytes_a, bytes_b);
+  for (const auto& q : datagen::UniformQueryPoints(40, a.domain(), 41)) {
+    const auto ids = a.AnswerObjectIds(q).ValueOrDie();
+    EXPECT_EQ(ids, BruteAnswers(a.objects(), q));
+    EXPECT_EQ(b.AnswerObjectIds(q).ValueOrDie(), ids);
+    const auto pnn_a = a.QueryPnn(q).ValueOrDie();
+    const auto pnn_b = b.QueryPnn(q).ValueOrDie();
+    ASSERT_EQ(pnn_a.size(), pnn_b.size());
+    for (size_t i = 0; i < pnn_a.size(); ++i) {
+      EXPECT_EQ(pnn_a[i].id, pnn_b[i].id);
+      EXPECT_EQ(pnn_a[i].probability, pnn_b[i].probability);
+    }
+  }
+}
+
+TEST(LiveInsertTest, InsertsAllocateFewDurablePages) {
+  // A live insert writes its record and the leaf pages it joins; the
+  // R-tree's tail and its folds stay in RAM. Fanout 20 makes the 50
+  // inserts cross two folds.
+  const std::string path = ::testing::TempDir() + "/uvd_live_insert_growth";
+  std::remove(path.c_str());
+  datagen::DatasetOptions opts;
+  opts.count = 1000;
+  opts.seed = 43;
+  UVDiagramOptions options;
+  options.storage_path = path;
+  options.rtree.fanout = 20;
+  auto diagram =
+      UVDiagram::Build(datagen::GenerateUniform(opts), datagen::DomainFor(opts), options)
+          .ValueOrDie();
+  Rng rng(47);
+  for (int k = 0; k < 50; ++k) {
+    const size_t pages0 = diagram.page_manager().num_pages();
+    ASSERT_TRUE(
+        diagram.InsertObject(RandomObject(static_cast<int>(diagram.objects().size()), &rng))
+            .ok());
+    EXPECT_LT(diagram.page_manager().num_pages() - pages0, 10u) << "insert " << k;
+  }
+  for (const auto& q : datagen::UniformQueryPoints(20, diagram.domain(), 53)) {
+    EXPECT_EQ(diagram.AnswerObjectIds(q).ValueOrDie(), BruteAnswers(diagram.objects(), q));
+  }
+  ASSERT_TRUE(diagram.CloseStorage().ok());
+  std::remove(path.c_str());
+}
+
+TEST(LiveInsertTest, ConcurrentRtreeQueriesFoldTheTailOnce) {
+  // Five inserts leave a tail; four threads then enter the R-tree path
+  // together. One of them folds the tail under the diagram's lock, the
+  // rest see the folded tree, and all answer like the UV-index. Runs in
+  // the TSan CI job.
+  datagen::DatasetOptions opts;
+  opts.count = 600;
+  opts.seed = 59;
+  auto d = UVDiagram::Build(datagen::GenerateUniform(opts), datagen::DomainFor(opts))
+               .ValueOrDie();
+  Rng rng(61);
+  for (int k = 0; k < 5; ++k) {
+    ASSERT_TRUE(d.InsertObject(RandomObject(static_cast<int>(d.objects().size()), &rng)).ok());
+  }
+  const auto queries = datagen::UniformQueryPoints(12, d.domain(), 67);
+  std::vector<std::vector<uncertain::PnnAnswer>> want;
+  for (const auto& q : queries) want.push_back(d.QueryPnn(q).ValueOrDie());
+
+  const uint64_t writes0 = d.stats().Get(Ticker::kPageWrites);
+  std::vector<std::vector<std::vector<uncertain::PnnAnswer>>> got(4);
+  std::vector<std::thread> threads;
+  std::atomic<int> ready{0};
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) {
+      }
+      for (const auto& q : queries) {
+        auto answers = d.QueryPnnWithRtree(q);
+        got[t].push_back(answers.ok() ? std::move(answers).value()
+                                      : std::vector<uncertain::PnnAnswer>{});
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  // The one fold wrote the in-RAM tree's leaf pages; reading the tree
+  // again writes nothing, because the tail is empty.
+  const rtree::RTree* tree = d.rtree().ValueOrDie();
+  EXPECT_TRUE(tree->tail().empty());
+  EXPECT_EQ(tree->num_objects(), d.objects().size());
+  EXPECT_EQ(d.stats().Get(Ticker::kPageWrites) - writes0, tree->num_leaf_pages());
+  for (size_t t = 0; t < 4; ++t) {
+    ASSERT_EQ(got[t].size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[t][i].size(), want[i].size()) << "thread " << t << " query " << i;
+      for (size_t j = 0; j < want[i].size(); ++j) {
+        EXPECT_EQ(got[t][i][j].id, want[i][j].id);
+        EXPECT_NEAR(got[t][i][j].probability, want[i][j].probability, 1e-12);
+      }
+    }
+  }
 }
 
 }  // namespace

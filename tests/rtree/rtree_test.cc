@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/random.h"
+#include "rtree/pnn_baseline.h"
 
 namespace uvd {
 namespace rtree {
@@ -154,6 +156,57 @@ TEST(RTreeTest, SingleObjectTree) {
   const auto got = f.tree->KNearestByDistMin({0, 0}, 1);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 0);
+}
+
+std::vector<int> Ids(const std::vector<LeafEntry>& entries) {
+  std::vector<int> ids;
+  for (const LeafEntry& e : entries) ids.push_back(e.id);
+  return ids;
+}
+
+TEST(RTreeTest, TailAnswersLikeAFreshBulkLoad) {
+  // Entries appended after BulkLoad ride in the in-RAM tail. k-NN must
+  // return the same canonical sequence, and the range query the same set,
+  // as a tree packed over every entry.
+  constexpr int kFanout = 100;
+  constexpr size_t kPacked = 1234;
+  for (size_t appended : {size_t{1}, size_t{kFanout - 1}}) {
+    SCOPED_TRACE(appended);
+    Fixture f;
+    f.Build(static_cast<int>(kPacked + appended), 31, kFanout);
+    const std::vector<uncertain::UncertainObject> packed(
+        f.objects.begin(), f.objects.begin() + kPacked);
+    const std::vector<uncertain::ObjectPtr> packed_ptrs(f.ptrs.begin(),
+                                                        f.ptrs.begin() + kPacked);
+    RTree tree =
+        RTree::BulkLoad(packed, packed_ptrs, &f.pm, {kFanout}, &f.stats).ValueOrDie();
+    const size_t bytes0 = tree.MemoryBytes();
+    for (size_t i = kPacked; i < f.objects.size(); ++i) {
+      tree.Append({f.objects[i].id(), f.objects[i].Mbc(), f.ptrs[i]});
+    }
+    EXPECT_EQ(tree.tail().size(), appended);
+    EXPECT_EQ(tree.num_objects(), f.objects.size());
+    EXPECT_EQ(tree.MemoryBytes(), bytes0 + appended * sizeof(LeafEntry));
+    // The PNN baseline walks the packed tree only.
+    EXPECT_EQ(RetrievePnnCandidates(tree, {5000, 5000}).status().code(),
+              StatusCode::kInvalidArgument);
+
+    Rng rng(37);
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE(trial);
+      const geom::Point q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
+      for (int k : {1, 7, 301}) {
+        EXPECT_EQ(Ids(tree.KNearestByDistMin(q, k)), Ids(f.tree->KNearestByDistMin(q, k)))
+            << "k=" << k;
+      }
+      const double radius = rng.Uniform(50, 2000);
+      std::vector<int> got = Ids(tree.CentersInRange(q, radius));
+      std::vector<int> want = Ids(f.tree->CentersInRange(q, radius));
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 }  // namespace
