@@ -1,4 +1,6 @@
-// Ablation: the adaptive seed-widening refinement (DESIGN.md). Plain
+// Ablation: the adaptive seed-widening refinement
+// (CrFinderOptions::adaptive_seed_widening, an addition to the paper's
+// Algorithm 2 documented in core/cr_finder.h). Plain
 // Sec. IV-B seed regions under-constrain a heavy tail of objects on dense
 // data (near seeds have angularly narrow UV-edges), inflating |C_i| and
 // construction time; widening with the already-fetched k-NN pool removes

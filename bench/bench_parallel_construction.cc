@@ -14,7 +14,7 @@
 //   traversal      — per_anchor: every anchor restarts the R-tree k-NN /
 //                    range query from the root (the traversal oracle);
 //                    shared: Morton-tiled anchors reuse a per-worker
-//                    rtree::TraversalSession (shared frontier,
+//                    rtree::TraversalSession (entry pool,
 //                    previous-anchor bound, decoded-leaf memo).
 //
 // The kernel switches are CrFinderOptions::kernel_mode (stage 1) and

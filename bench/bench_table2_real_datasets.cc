@@ -1,5 +1,5 @@
 // Table II: real datasets (Germany utility / roads / rrlines; here the
-// real-like substitutes of DESIGN.md Sec. 5 at the paper cardinalities,
+// real-like substitutes of datagen/real_like.h at the paper cardinalities,
 // scaled). Reports T_q for both indexes, construction time T_c and the
 // pruning ratio p_c. Paper shape: UVD consistently beats the R-tree;
 // p_c = 86-89%.

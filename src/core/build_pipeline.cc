@@ -58,7 +58,7 @@ uint64_t SpreadBits16(uint32_t v) {
 /// Deterministic space-filling sweep order for the shared traversal:
 /// object indices sorted by the Morton (Z-order) key of their centers on a
 /// 2^16 grid over the domain, ties by id. Adjacent tiles of this order are
-/// spatially adjacent, which is what makes the session's frontier bound
+/// spatially adjacent, which is what makes the session's pool, bound
 /// and leaf memo hit.
 std::vector<uint32_t> MortonOrder(
     const std::vector<uncertain::UncertainObject>& objects,
@@ -241,7 +241,7 @@ Status ComputeStage1Candidates(const std::vector<uncertain::UncertainObject>& ob
   const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
   std::vector<StageResult> results(n);
   // Tiled Morton sweep under kShared: workers claim contiguous tiles of
-  // the space-filling order, so each session's frontier/bound/memo sees
+  // the space-filling order, so each session's pool/bound/memo sees
   // spatially adjacent anchors back to back (ids are in dataset order,
   // which is spatially random, so this matters for one worker too).
   // Results land positionally (results[i]) and every per-object output is

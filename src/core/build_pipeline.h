@@ -33,7 +33,7 @@
 //
 //   * kShared (default): anchors are swept in Morton order in tiles of
 //     kTraversalTileSize (64, build_pipeline.cc); each worker reuses one
-//     rtree::TraversalSession across its tiles (shared k-NN frontier,
+//     rtree::TraversalSession across its tiles (entry pool,
 //     previous-anchor distance bound, decoded-leaf memo). Candidate sets
 //     are byte-identical to kPerAnchor for every thread count.
 //   * kPerAnchor: the historical root-restart per object — the traversal

@@ -10,12 +10,16 @@
 namespace uvd {
 namespace core {
 
+namespace {
+/// k of the seed-selection k-NN query (paper Sec. IV-B).
+constexpr int kSeedKnnK = 300;
+}  // namespace
+
 CrObjectFinder::CrObjectFinder(const std::vector<uncertain::UncertainObject>& objects,
                                const rtree::RTree& tree, const geom::Box& domain,
                                const CrFinderOptions& options, Stats* stats)
     : objects_(objects), tree_(tree), domain_(domain), options_(options), stats_(stats) {
   UVD_CHECK_GT(options_.num_sectors, 0);
-  UVD_CHECK_GT(options_.knn_k, 0);
 }
 
 std::vector<int> CrObjectFinder::SelectSeeds(
@@ -58,15 +62,15 @@ UVCell CrObjectFinder::BuildSeedRegion(size_t index, std::vector<int>* seed_ids,
   if (ws == nullptr) ws = &local;
   const uncertain::UncertainObject& anchor = objects_[index];
   // k-NN by dist_min around c_i; +1 because the anchor itself is returned.
-  // The session (shared frontier) and the fresh traversal return the same
+  // The session (entry pool) and the fresh traversal return the same
   // bytes — the canonical (dist_min, id) order, see rtree::KnnHeapItem.
   std::vector<rtree::LeafEntry>& knn = ws->knn;
   {
     UVD_TRACE_SPAN("cr", "traversal");
     if (ws->session != nullptr) {
-      ws->session->KNearest(anchor.center(), options_.knn_k + 1, &knn);
+      ws->session->KNearest(anchor.center(), kSeedKnnK + 1, &knn);
     } else {
-      tree_.KNearestByDistMin(anchor.center(), options_.knn_k + 1,
+      tree_.KNearestByDistMin(anchor.center(), kSeedKnnK + 1,
                               &ws->scratch, &knn);
     }
   }

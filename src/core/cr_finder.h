@@ -29,12 +29,12 @@ namespace core {
 
 /// Tuning parameters with the paper's experimental defaults (Sec. VI).
 struct CrFinderOptions {
-  int knn_k = 300;      ///< k of the seed-selection k-NN query.
   int num_sectors = 8;  ///< k_s: domain sectors around c_i.
   /// When the seed region reaches beyond the k-NN ball, refine it with the
-  /// whole (already fetched) k-NN pool. Strictly shrinks P_i, so Lemmas
-  /// 2-3 stay valid; see DESIGN.md. Disable to reproduce plain Sec. IV-B
-  /// behaviour (ablation: bench_ablation_seeds).
+  /// whole (already fetched) k-NN pool. Every pool member's outside region
+  /// is a genuine constraint, so this strictly shrinks P_i while keeping
+  /// it a superset of U_i, and Lemmas 2-3 stay valid. Disable to reproduce
+  /// plain Sec. IV-B behaviour (ablation: bench_ablation_seeds).
   bool adaptive_seed_widening = true;
   /// Stage-1 kernel implementation (geom/batch/kernels.h): C-pruning, the
   /// widening subtraction loop and, in the build pipeline, exact-cell
@@ -66,12 +66,12 @@ struct CrResult {
 /// workspace reproduces the historical behaviour exactly; passing one
 /// across calls removes the per-anchor heap and output allocations
 /// (scratch + buffers), and installing a TraversalSession additionally
-/// switches both R-tree queries to the shared-frontier traversal
+/// answers both R-tree queries from the session's shared entry pool
 /// (rtree/traversal_session.h). Candidate sets are bitwise identical
 /// either way. Not thread-safe: one workspace per worker.
 struct CrFinderWorkspace {
   rtree::TraversalScratch scratch;  ///< Per-anchor (oracle) traversal buffers.
-  /// Non-null = TraversalMode::kShared: reuse the frontier across anchors.
+  /// Non-null = TraversalMode::kShared: reuse the entry pool across anchors.
   std::unique_ptr<rtree::TraversalSession> session;
   std::vector<rtree::LeafEntry> knn;         ///< k-NN output buffer.
   std::vector<rtree::LeafEntry> candidates;  ///< Range-query output buffer.

@@ -2,7 +2,8 @@
 // non-zero probability of being the nearest neighbor. Built by Algorithm 1:
 // start from the domain D and subtract the outside region of every other
 // object. Internally the cell is the radial lower envelope around c_i
-// (DESIGN.md Sec. 4), a circular sequence of hyperbolic arcs.
+// (geom/envelope.h, derived in geom/radial.h), a circular sequence of
+// hyperbolic arcs.
 #ifndef UVD_CORE_UV_CELL_H_
 #define UVD_CORE_UV_CELL_H_
 

@@ -4,7 +4,8 @@
 // bars), plus the Gaussian-cloud skew datasets of Fig. 7(g).
 //
 // The paper used Theodoridis et al.'s generator from rtreeportal.org;
-// this module is the offline substitute documented in DESIGN.md Sec. 5.
+// this module is an offline substitute that reproduces the parameters the
+// paper states for it (Sec. VI-A), not the generator's code.
 #ifndef UVD_DATAGEN_GENERATORS_H_
 #define UVD_DATAGEN_GENERATORS_H_
 

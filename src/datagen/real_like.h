@@ -1,8 +1,8 @@
 // "Real-like" geographic datasets substituting the paper's Germany maps
-// (utility 17K, roads 30K, rrlines 36K from rtreeportal.org, unavailable
-// offline — see DESIGN.md Sec. 5). The experiments exercise only the
-// non-uniformity of the real data, so we synthesize sets with the same
-// cardinalities and matching spatial character:
+// (utility 17K, roads 30K, rrlines 36K from rtreeportal.org, paper
+// Sec. VI-A), which are not distributed with this code. The experiments
+// exercise only the non-uniformity of the real data, so we synthesize sets
+// with the same cardinalities and matching spatial character:
 //   utility — clustered point process (facility clusters around towns)
 //   roads   — dense jittered points along many meandering polylines
 //   rrlines — sparse points along fewer, longer, straighter polylines

@@ -1,5 +1,6 @@
 // Lower envelope of radial constraints around an anchor center: the exact
-// UV-cell (DESIGN.md Section 4). The boundary is a circular sequence of
+// UV-cell (paper Definition 1; the constraint form is derived in
+// geom/radial.h). The boundary is a circular sequence of
 // hyperbolic arcs (object constraints) and straight segments (domain walls),
 // each arc described by the angular interval it owns.
 //

@@ -1,5 +1,5 @@
 // Radial (polar) form of UV-edge constraints, the representation behind our
-// exact UV-cells (DESIGN.md Section 4).
+// exact UV-cells (paper Definition 1; the derivation follows below).
 //
 // For an anchor object O_i(c_i, r_i) and a constraining object O_j(c_j, r_j)
 // put w = c_j - c_i and s = r_i + r_j. Along the ray p(t) = c_i + t*u the

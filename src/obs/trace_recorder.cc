@@ -13,10 +13,19 @@ std::atomic<bool> TraceRecorder::enabled_{false};
 namespace {
 // Fast path for the GLOBAL recorder only: that instance is never
 // destroyed, so the cached pointers cannot dangle. Private recorders
-// (tests) resolve their ring by thread id under the registry mutex — a
+// (tests) resolve their ring by thread token under the registry mutex — a
 // destroyed-and-reallocated private recorder must never match a stale
 // thread-local.
 thread_local void* tls_global_ring = nullptr;
+
+/// This thread's ring key: drawn once per thread from a process-wide
+/// counter, so unlike std::thread::id it is never handed to a later thread.
+uint64_t ThisThreadToken() {
+  static std::atomic<uint64_t> next_token{1};
+  thread_local const uint64_t token =
+      next_token.fetch_add(1, std::memory_order_relaxed);
+  return token;
+}
 }  // namespace
 
 TraceRecorder::TraceRecorder(size_t ring_capacity)
@@ -35,7 +44,7 @@ TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
     return static_cast<Ring*>(tls_global_ring);
   }
   MutexLock lock(registry_mu_);
-  const std::thread::id me = std::this_thread::get_id();
+  const uint64_t me = ThisThreadToken();
   for (const auto& existing : rings_) {
     if (existing->owner == me) {
       if (is_global) tls_global_ring = existing.get();

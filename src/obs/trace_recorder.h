@@ -30,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -61,6 +60,12 @@ struct PhaseTotal {
 /// into; tests may construct private recorders. Thread ids in the export
 /// are assigned in ring-registration order (0, 1, ...), so single-threaded
 /// recordings export deterministically.
+///
+/// Rings are keyed by a per-thread token that is never reused: a thread
+/// that exits keeps its ring and its events, and a later thread never
+/// records into them. Memory is therefore one ring (kDefaultRingCapacity
+/// events, about 1 MiB) per thread that ever recorded, for the recorder's
+/// lifetime.
 class TraceRecorder {
  public:
   static constexpr size_t kDefaultRingCapacity = 1 << 15;  // events/thread
@@ -125,7 +130,7 @@ class TraceRecorder {
     // immutable afterwards; the analysis cannot name an outer-instance
     // mutex from a nested struct, so they stay unannotated by design.
     uint32_t tid = 0;
-    std::thread::id owner;  // registering thread (lookup key)
+    uint64_t owner = 0;  // registering thread's token (lookup key)
     std::vector<TraceEvent> events UVD_GUARDED_BY(mu);  // capacity-bounded
     size_t next UVD_GUARDED_BY(mu) = 0;     // write cursor
     size_t size UVD_GUARDED_BY(mu) = 0;     // events held (<= capacity)

@@ -33,8 +33,8 @@ struct RTreeOptions {
 /// before entries and tying entries pop in id order. That makes the k-NN
 /// output a pure function of (q, k): the k canonically smallest entries by
 /// (dist_min, id), independent of the traversal that produced them —
-/// which is what lets rtree::TraversalSession resume from a refined
-/// frontier and still match a fresh root-to-leaf search bit for bit.
+/// which is what lets rtree::TraversalSession answer from its entry pool
+/// and still match a fresh root-to-leaf search bit for bit.
 struct KnnHeapItem {
   double key = 0.0;
   uint32_t index = 0;  ///< node or leaf-page index (kind 0 / 1)

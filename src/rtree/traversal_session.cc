@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "common/logging.h"
@@ -41,34 +40,9 @@ TraversalSession::TraversalSession(const RTree& tree,
 }
 
 void TraversalSession::Reset() {
-  cut_.clear();
-  cut_.push_back({tree_.root(), kNode});
-  cut_dead_ = 0;
   prev_valid_ = false;
   pool_radius_ = -1.0;
   last_window_ = 0.0;
-}
-
-void TraversalSession::CompactCut() {
-  size_t w = 0;
-  for (size_t p = 0; p < cut_.size(); ++p) {
-    if (cut_[p].kind == kDead) continue;
-    cut_[w++] = cut_[p];
-  }
-  cut_.resize(w);
-  cut_dead_ = 0;
-}
-
-size_t TraversalSession::ExpandCutNode(size_t pos) {
-  const uint32_t idx = cut_[pos].index;
-  cut_[pos].kind = kDead;
-  ++cut_dead_;
-  if (stats_ != nullptr) stats_->Add(Ticker::kRtreeNodeVisits);
-  const RTree::Node& node = tree_.nodes()[idx];
-  const size_t first = cut_.size();
-  const uint8_t child_kind = node.leaf_children ? kLeafPage : kNode;
-  for (uint32_t c : node.children) cut_.push_back({c, child_kind});
-  return first;
 }
 
 const std::vector<LeafEntry>* TraversalSession::GetLeaf(uint32_t leaf) {
@@ -87,7 +61,7 @@ const std::vector<LeafEntry>* TraversalSession::GetLeaf(uint32_t leaf) {
     read = tree_.ReadLeaf(tree_.leaf_pages()[leaf], &entries);
   }
   if (!read.ok()) {
-    if (status_.ok()) status_ = std::move(read);
+    if (scratch_.status.ok()) scratch_.status = std::move(read);
     return nullptr;
   }
   return memo_.Insert(leaf, std::move(entries)).first;
@@ -109,22 +83,25 @@ void TraversalSession::RebuildPool(const geom::Point& center, double radius) {
   pool_.clear();
   pool_center_ = center;
   pool_radius_ = radius;
-  if (cut_dead_ > cut_.size() / 2) CompactCut();
   const std::vector<RTree::Node>& nodes = tree_.nodes();
   const std::vector<geom::Box>& leaf_mbrs = tree_.leaf_mbrs();
-  // Index loop: qualifying nodes expand in place (children appended past
-  // the current end are visited later in this same sweep). MBRs bound the
-  // full uncertainty circles, so MinDist(box) lower-bounds every contained
-  // entry's dist_min — no qualifying entry can hide behind a pruned box.
-  for (size_t p = 0; p < cut_.size(); ++p) {
-    const CutElement e = cut_[p];  // copy: cut_ may reallocate below
-    if (e.kind == kDead) continue;
-    if (e.kind == kNode) {
-      if (nodes[e.index].mbr.MinDist(center) > radius) continue;
-      ExpandCutNode(p);
-    } else {
-      if (leaf_mbrs[e.index].MinDist(center) > radius) continue;
-      const std::vector<LeafEntry>* entries = GetLeaf(e.index);
+  // MBRs bound the full uncertainty circles, so MinDist(box) lower-bounds
+  // every contained entry's dist_min — no qualifying entry can hide behind
+  // a pruned box.
+  std::vector<uint32_t>& stack = scratch_.stack;
+  stack.clear();
+  stack.push_back(tree_.root());
+  while (!stack.empty()) {
+    const RTree::Node& node = nodes[stack.back()];
+    stack.pop_back();
+    if (stats_ != nullptr) stats_->Add(Ticker::kRtreeNodeVisits);
+    for (uint32_t c : node.children) {
+      if (!node.leaf_children) {
+        if (nodes[c].mbr.MinDist(center) <= radius) stack.push_back(c);
+        continue;
+      }
+      if (leaf_mbrs[c].MinDist(center) > radius) continue;
+      const std::vector<LeafEntry>* entries = GetLeaf(c);
       if (entries == nullptr) continue;
       for (const LeafEntry& le : *entries) {
         // Squared-space dist_min(center) <= radius, with slack: the pool
@@ -149,8 +126,8 @@ bool TraversalSession::ServeFromPool(const geom::Point& q, int k, double bound,
     const LeafEntry& e = pool_[i];
     // Conservative square-space prefilter for dist_min <= bound (the
     // relative slack keeps borderline entries in past rounding); survivors
-    // get the exact key so selection sees the same doubles the heap
-    // traversal computes.
+    // get the exact key so selection sees the same doubles the tree's
+    // k-NN computes.
     const double dx = q.x - e.mbc.center.x;
     const double dy = q.y - e.mbc.center.y;
     const double lim = bound + e.mbc.radius;
@@ -161,7 +138,7 @@ bool TraversalSession::ServeFromPool(const geom::Point& q, int k, double bound,
   if (pool_cand_.size() < static_cast<size_t>(k)) return false;
   // The k canonically smallest (key, id) — candidates are a superset of
   // every entry with key <= bound >= true k-th distance, so these are
-  // exactly the entries the best-first traversal pops, in pop order.
+  // exactly the entries RTree::KNearestByDistMin pops, in pop order.
   const auto canonical = [](const PoolCandidate& a, const PoolCandidate& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.id < b.id;
@@ -189,8 +166,7 @@ void TraversalSession::KNearest(const geom::Point& q, int k,
   // (triangle inequality on the underlying point sets), so the k-th order
   // statistic does too; with k <= prev_k the current k-th distance is at
   // most B. Keys strictly above B rank after all k winners even under the
-  // canonical tie-break, so neither the pool selection nor the heap ever
-  // needs them.
+  // canonical tie-break, so the pool selection never needs them.
   double bound = std::numeric_limits<double>::infinity();
   if (prev_valid_ && k <= prev_k_) {
     bound = prev_kth_ + geom::Distance(q, prev_q_);
@@ -200,7 +176,7 @@ void TraversalSession::KNearest(const geom::Point& q, int k,
     // (a one-off wide query must not leave every later scan paying its
     // 4x-area pool). `want` >= bound, so the shrunk ball still covers
     // this query. Right after a Morton jump `bound` is inflated, but then
-    // coverage fails too and the heap path below re-sizes from the fresh
+    // coverage fails too and the tree k-NN below re-sizes from the fresh
     // exact k-th distance instead.
     const double want =
         std::max(bound, last_window_) * (1.0 + kPoolMargin);
@@ -209,90 +185,23 @@ void TraversalSession::KNearest(const geom::Point& q, int k,
       last_window_ = std::max(last_window_ * 0.5, prev_kth_);
       return;
     }
-    out->clear();  // pool miss (or defensive fallback): answer via the heap
   }
-  HeapKNearest(q, k, out);
-  if (prev_valid_) {
-    // Full result: re-center the ball on the exact local k-th distance
-    // (never the jump-inflated Lipschitz bound) so the following anchors
-    // and this anchor's range query serve from flat scans again.
-    RebuildPool(q, std::max(prev_kth_, last_window_) *
-                       (1.0 + kPoolMargin));
-    last_window_ = std::max(last_window_ * 0.5, prev_kth_);
-  }
-}
-
-void TraversalSession::HeapKNearest(const geom::Point& q, int k,
-                                    std::vector<LeafEntry>* out) {
-  if (cut_dead_ > cut_.size() / 2) CompactCut();
-  double bound = std::numeric_limits<double>::infinity();
-  if (prev_valid_ && k <= prev_k_) {
-    bound = prev_kth_ + geom::Distance(q, prev_q_);
-  }
-
-  const std::greater<HeapItem> worse;
-  const std::vector<RTree::Node>& nodes = tree_.nodes();
-  const std::vector<geom::Box>& leaf_mbrs = tree_.leaf_mbrs();
-  heap_.clear();
-  for (size_t p = 0; p < cut_.size(); ++p) {
-    const CutElement& e = cut_[p];
-    if (e.kind == kDead) continue;
-    const double key = e.kind == kNode ? nodes[e.index].mbr.MinDist(q)
-                                       : leaf_mbrs[e.index].MinDist(q);
-    if (key > bound) continue;
-    heap_.push_back({key, e.index, -1, static_cast<uint32_t>(p), e.kind});
-  }
-  std::make_heap(heap_.begin(), heap_.end(), worse);
-
-  double last_key = 0.0;
-  while (!heap_.empty() && out->size() < static_cast<size_t>(k)) {
-    std::pop_heap(heap_.begin(), heap_.end(), worse);
-    const HeapItem item = heap_.back();
-    heap_.pop_back();
-    switch (item.kind) {
-      case kNode: {
-        const size_t first = ExpandCutNode(item.pos);
-        for (size_t p = first; p < cut_.size(); ++p) {
-          const CutElement& e = cut_[p];
-          const double key = e.kind == kNode ? nodes[e.index].mbr.MinDist(q)
-                                             : leaf_mbrs[e.index].MinDist(q);
-          if (key > bound) continue;
-          heap_.push_back(
-              {key, e.index, -1, static_cast<uint32_t>(p), e.kind});
-          std::push_heap(heap_.begin(), heap_.end(), worse);
-        }
-        break;
-      }
-      case kLeafPage: {
-        const std::vector<LeafEntry>* entries = GetLeaf(item.index);
-        if (entries == nullptr) break;
-        for (size_t pos = 0; pos < entries->size(); ++pos) {
-          const double key = (*entries)[pos].mbc.DistMin(q);
-          if (key > bound) continue;
-          heap_.push_back({key, item.index, (*entries)[pos].id,
-                           static_cast<uint32_t>(pos), kEntry});
-          std::push_heap(heap_.begin(), heap_.end(), worse);
-        }
-        break;
-      }
-      default: {  // kEntry: resolve through the memo (re-decodes if evicted)
-        const std::vector<LeafEntry>* entries = GetLeaf(item.index);
-        if (entries == nullptr) break;
-        out->push_back((*entries)[item.pos]);
-        last_key = item.key;
-        break;
-      }
-    }
-  }
-
-  if (out->size() == static_cast<size_t>(k)) {
-    prev_valid_ = true;
-    prev_q_ = q;
-    prev_k_ = k;
-    prev_kth_ = last_key;
-  } else {
+  // Pool miss (or defensive fallback): the tree's own best-first k-NN,
+  // which clears `out` first.
+  tree_.KNearestByDistMin(q, k, &scratch_, out);
+  if (out->size() != static_cast<size_t>(k)) {
     prev_valid_ = false;  // partial result: no bound to carry forward
+    return;
   }
+  prev_valid_ = true;
+  prev_q_ = q;
+  prev_k_ = k;
+  prev_kth_ = out->back().mbc.DistMin(q);  // the key the tree popped last
+  // Full result: re-center the ball on the exact local k-th distance
+  // (never the jump-inflated Lipschitz bound) so the following anchors
+  // and this anchor's range query serve from flat scans again.
+  RebuildPool(q, std::max(prev_kth_, last_window_) * (1.0 + kPoolMargin));
+  last_window_ = std::max(last_window_ * 0.5, prev_kth_);
 }
 
 void TraversalSession::CentersInRange(const geom::Point& center, double radius,

@@ -1,4 +1,4 @@
-// Shared-traversal layer for stage 1 (ISSUE 9): neighboring anchors issue
+// Shared-traversal layer for stage 1: neighboring anchors issue
 // k-NN and range queries against nearly identical regions of the R-tree,
 // so per-anchor root restarts and leaf re-decodes are massively redundant
 // (the divide-and-conquer-of-envelopes observation — spatially adjacent
@@ -6,33 +6,33 @@
 // a per-worker object reused across a tile of Morton-adjacent anchors that
 // keeps three pieces of state between queries:
 //
-//   * Frontier cut — a set of {node | leaf page} elements that exactly
-//     covers the tree. Best-first search runs over the cut instead of the
-//     root; expanding a node permanently replaces it with its children, so
-//     later anchors skip the upper levels the tile already descended.
 //   * Previous-anchor bound — dist_min is 1-Lipschitz in the query point,
 //     so B = prev_kth_dist + |q - q_prev| upper-bounds the current k-th
-//     distance and cut elements with MinDist(q) > B are skipped outright.
+//     distance and sizes the pool check below.
 //   * Decoded-leaf memo — the segmented-LRU policy core
 //     (common/segmented_lru.h, single-threaded here) over DecodeLeafEntries
-//     output, so each leaf page is decoded at most once per tile sweep
-//     instead of once per anchor. A failed leaf read is never memoized:
-//     it becomes the session's sticky status().
+//     output, so a pool rebuild decodes each leaf page at most once per
+//     tile sweep instead of once per rebuild. A failed leaf read is never
+//     memoized: it becomes the session's sticky status().
 //   * Entry pool — a materialized superset ball: every entry whose
 //     dist_min to pool_center_ is <= pool_radius_. While consecutive
 //     anchors stay inside the ball (dist_min is 1-Lipschitz in the query
 //     point, so needed_radius + |q - pool_center| <= pool_radius proves
 //     coverage), both query kinds are answered by a flat scan of the pool
-//     — no heap, no tree descent, no per-entry memo lookups. The pool is
-//     rebuilt from the frontier cut when the walk exits the ball
-//     (every ~kPoolMargin * radius of Morton travel; traversal_session.cc).
+//     — no heap, no tree descent, no per-entry memo lookups. A k-NN the
+//     pool cannot cover goes to RTree::KNearestByDistMin (the one
+//     best-first k-NN), whose k-th distance re-centers the pool; the
+//     rebuild walks the in-memory levels from the root and reads leaves
+//     through the memo (every ~kPoolMargin * radius of Morton travel;
+//     traversal_session.cc).
 //
 // Determinism: KNearest returns the k canonically smallest entries by
 // (dist_min, id) and CentersInRange an order-insensitive candidate set —
 // both pure functions of the query, independent of session state, tile
 // size and anchor order (traversal_session_test pins this against fresh
 // RTree traversals). Only the traversal-effort tickers
-// (kRtreeNodeVisits / kRtreeLeafReads) differ from the per-anchor oracle.
+// (kRtreeNodeVisits / kRtreeLeafReads / kLeafMemo*) differ from the
+// per-anchor oracle.
 //
 // Thread safety: none — one session per worker, by design.
 #ifndef UVD_RTREE_TRAVERSAL_SESSION_H_
@@ -88,65 +88,29 @@ class TraversalSession {
   void CentersInRange(const geom::Point& center, double radius,
                       std::vector<LeafEntry>* out);
 
-  /// Drops the frontier cut back to {root} and forgets the previous-anchor
-  /// bound. The leaf memo survives (capacity-bounded either way).
+  /// Drops the entry pool and forgets the previous-anchor bound. The leaf
+  /// memo survives (capacity-bounded either way).
   void Reset();
 
   /// The first leaf-read failure, sticky; OK when none. Once it is set,
   /// query results may be incomplete.
-  const Status& status() const { return status_; }
+  const Status& status() const { return scratch_.status; }
 
   size_t memo_hits() const { return memo_hits_; }
   size_t memo_misses() const { return memo_misses_; }
   size_t memo_size() const { return memo_.size(); }
-  /// Live (non-tombstoned) cut elements.
-  size_t cut_size() const { return cut_.size() - cut_dead_; }
   /// Entries currently materialized in the pool (0 when invalid).
   size_t pool_size() const { return pool_radius_ < 0.0 ? 0 : pool_.size(); }
-  /// Times the pool was (re)built from the frontier cut.
+  /// Times the pool was (re)built from the tree.
   size_t pool_rebuilds() const { return pool_rebuilds_; }
-  /// Queries answered by a pool scan (vs heap traversal / cut sweep).
+  /// Queries answered by a pool scan (vs RTree::KNearestByDistMin).
   size_t pool_serves() const { return pool_serves_; }
 
  private:
-  enum : uint8_t { kNode = 0, kLeafPage = 1, kEntry = 2, kDead = 3 };
-
-  struct CutElement {
-    uint32_t index;
-    uint8_t kind;  // kNode or kLeafPage (kDead = tombstone)
-  };
-
-  /// Compact frontier/heap element: entries reference the decoded leaf by
-  /// (leaf index, position) instead of carrying the 36-byte tuple, so the
-  /// per-anchor heap stays cache-resident.
-  struct HeapItem {
-    double key;
-    uint32_t index;  // node / leaf index
-    int32_t id;      // entry id (kind kEntry); -1 otherwise
-    uint32_t pos;    // cut position (kNode) or entry position (kEntry)
-    uint8_t kind;
-
-    /// Canonical total order, matching rtree::KnnHeapItem: at equal keys
-    /// containers pop before entries and entries tie-break by id, which
-    /// makes the pop sequence of entries algorithm-independent.
-    bool operator>(const HeapItem& o) const {
-      if (key != o.key) return key > o.key;
-      if (kind != o.kind) return kind > o.kind;
-      if (kind == kEntry) return id > o.id;
-      return index > o.index;
-    }
-  };
-
   /// Decoded entries of `leaf`, via the memo; nullptr when the read fails
-  /// (recorded in status_). The pointer is valid until the next GetLeaf
-  /// call (which may evict it).
+  /// (recorded in scratch_.status). The pointer is valid until the next
+  /// GetLeaf call (which may evict it).
   const std::vector<LeafEntry>* GetLeaf(uint32_t leaf);
-
-  /// Tombstones cut_[pos] and appends the node's children to the cut.
-  /// Returns the position of the first appended child.
-  size_t ExpandCutNode(size_t pos);
-
-  void CompactCut();
 
   /// True when every entry a query of `needed` radius around `q` can
   /// return provably lies in the pool (1-Lipschitz transfer bound, with a
@@ -155,27 +119,23 @@ class TraversalSession {
   bool PoolCovers(const geom::Point& q, double needed) const;
 
   /// Re-centers the pool on `center` and re-collects every entry with
-  /// dist_min(center) <= radius by sweeping (and refining) the cut.
+  /// dist_min(center) <= radius by a pruned walk from the root.
   void RebuildPool(const geom::Point& center, double radius);
 
   /// Answers KNearest by flat pool scan: the k canonically smallest
   /// (dist_min, id) among pool entries. Pre-condition: PoolCovers(q, bound)
   /// with bound >= the true k-th distance. Returns false (out untouched
   /// beyond clear) if the pool unexpectedly holds fewer than k candidates;
-  /// the caller falls back to the heap traversal.
+  /// the caller falls back to RTree::KNearestByDistMin.
   bool ServeFromPool(const geom::Point& q, int k, double bound,
                      std::vector<LeafEntry>* out);
-
-  /// The original best-first traversal over the cut (the cold-start and
-  /// fallback path; also the code the pool's output is defined against).
-  void HeapKNearest(const geom::Point& q, int k, std::vector<LeafEntry>* out);
 
   const RTree& tree_;
   Stats* stats_;
 
-  std::vector<CutElement> cut_;
-  size_t cut_dead_ = 0;
-  std::vector<HeapItem> heap_;  // reused across KNearest calls
+  // Buffers of the pool-miss k-NN and the rebuild walk; its status is the
+  // session's sticky status().
+  TraversalScratch scratch_;
 
   // Entry pool (see the header comment). pool_radius_ < 0 marks it
   // invalid; last_window_ remembers the largest radius recently requested
@@ -202,7 +162,6 @@ class TraversalSession {
   bool prev_valid_ = false;
 
   SegmentedLru<uint32_t, std::vector<LeafEntry>> memo_;
-  Status status_;
   size_t memo_hits_ = 0;
   size_t memo_misses_ = 0;
 };

@@ -235,6 +235,46 @@ TEST(FaultInjectionTest, BuildPropagatesLeafReadFault) {
   }
 }
 
+TEST(FaultInjectionTest, BuildFailsOnEveryStageOneRead) {
+  // A shared-traversal build reads leaves from two places: the tree's own
+  // k-NN when the session's entry pool misses, and the pool rebuild
+  // through the leaf memo. Count the reads of a clean build, then fail
+  // each one in turn: every such build must fail, and the healed build
+  // must serialize the clean bytes.
+  Fixture f;
+  f.Build();
+  core::BuildPipelineOptions options;
+  options.build_threads = 1;  // the read countdown is not thread-safe
+  options.cr.traversal_mode = rtree::TraversalMode::kShared;
+  const auto build = [&](std::vector<uint8_t>* bytes) {
+    storage::PageManager index_pm(4096);
+    core::UVIndex index(f.domain, &index_pm, core::UVIndexOptions{}, &f.stats);
+    UVD_RETURN_NOT_OK(core::RunBuildPipeline(f.objects, f.ptrs, *f.tree, f.domain,
+                                             options, &index, nullptr, &f.stats));
+    return index.SerializeStructure(bytes);
+  };
+  uint64_t reads = 0;
+  f.disk.file()->SetFaultHook([&reads](IoOp o, uint64_t) {
+    if (o == IoOp::kRead) ++reads;
+    return Fault::kNone;
+  });
+  std::vector<uint8_t> clean;
+  ASSERT_TRUE(build(&clean).ok());
+  ASSERT_GT(reads, 0u);
+
+  for (uint64_t nth = 0; nth < reads; ++nth) {
+    SCOPED_TRACE(nth);
+    f.disk.file()->SetFaultHook(FailOnce(IoOp::kRead, nth));
+    std::vector<uint8_t> broken;
+    EXPECT_EQ(build(&broken).code(), StatusCode::kIOError);
+  }
+  f.disk.Heal();
+
+  std::vector<uint8_t> healed;
+  ASSERT_TRUE(build(&healed).ok());
+  EXPECT_EQ(healed, clean);
+}
+
 TEST(FaultInjectionTest, FinalizePropagatesWriteFault) {
   // One leaf on one page. The file backend's write 0 is that page's zero
   // frame (its allocation), write 1 the leaf's tuples: countdown 1 fails

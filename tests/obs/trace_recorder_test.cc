@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "testing/phase_trace.h"
@@ -95,6 +97,31 @@ TEST(TraceRecorderTest, ClearKeepsRingsAndResetsCounts) {
   EXPECT_EQ(recorder.event_count(), 0u);
   EXPECT_EQ(recorder.dropped(), 0u);
   EXPECT_EQ(recorder.thread_count(), 1u);  // ring registration survives
+}
+
+TEST(TraceRecorderTest, SequentialThreadsKeepTheirOwnRings) {
+  // Each thread is joined before the next starts, so the runtime may hand
+  // the next one the same std::thread::id; every thread must still get a
+  // ring of its own, and an exited thread's events must stay.
+  TraceRecorder recorder;
+  constexpr int kThreads = 4;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread t([&recorder, i] {
+      recorder.Record("test", "seq", static_cast<uint64_t>(i), 1);
+    });
+    t.join();
+  }
+  EXPECT_EQ(recorder.thread_count(), static_cast<size_t>(kThreads));
+  EXPECT_EQ(recorder.event_count(), static_cast<size_t>(kThreads));
+  const std::string json = recorder.ToChromeTraceJson();
+  std::set<std::string> tids;
+  const std::string key = "\"tid\": ";
+  for (size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos + key.size())) {
+    const size_t start = pos + key.size();
+    tids.insert(json.substr(start, json.find('}', start) - start));
+  }
+  EXPECT_EQ(tids.size(), static_cast<size_t>(kThreads));
 }
 
 TEST(TraceRecorderTest, ConcurrentSpansUnderThreadPool) {
